@@ -81,15 +81,16 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
     done;
     Queue.push !acc st.pending;
     let c = 2.0 *. float_of_int n /. ops_per_cycle in
-    Trace.instant tracer ~cat:"accel" ~track:Trace.accel_track
-      ~args:
-        [
-          ("ic", Trace.Int st.ic);
-          ("fhw", Trace.Int st.fhw);
-          ("src", Trace.Str src);
-          ("accel_cycles", Trace.Num c);
-        ]
-      "cv_patch";
+    if Trace.enabled tracer then
+      Trace.instant tracer ~cat:"accel" ~track:Trace.accel_track
+        ~args:
+          [
+            ("ic", Trace.Int st.ic);
+            ("fhw", Trace.Int st.fhw);
+            ("src", Trace.Str src);
+            ("accel_cycles", Trace.Num c);
+          ]
+        "cv_patch";
     c
   in
   let consume words =

@@ -66,15 +66,16 @@ let reset st =
   Queue.clear st.out
 
 let note_compute tracer st cycles =
-  Trace.instant tracer ~cat:"accel" ~track:Trace.accel_track
-    ~args:
-      [
-        ("tm", Trace.Int st.tm);
-        ("tn", Trace.Int st.tn);
-        ("tk", Trace.Int st.tk);
-        ("accel_cycles", Trace.Num cycles);
-      ]
-    "mm_compute"
+  if Trace.enabled tracer then
+    Trace.instant tracer ~cat:"accel" ~track:Trace.accel_track
+      ~args:
+        [
+          ("tm", Trace.Int st.tm);
+          ("tn", Trace.Int st.tn);
+          ("tk", Trace.Int st.tk);
+          ("accel_cycles", Trace.Num cycles);
+        ]
+      "mm_compute"
 
 (* One tile MAC pass: C += A x B. Returns accelerator cycles. *)
 let compute st =

@@ -11,7 +11,7 @@ type level = {
   mutable clock : int;
 }
 
-type t = { levels : level list }
+type t = { levels : level list; n_levels : int }
 
 let make_level geom =
   if not (Util.is_pow2 geom.line_bytes) || not (Util.is_pow2 geom.size_bytes) then
@@ -27,9 +27,9 @@ let make_level geom =
     clock = 0;
   }
 
-let create geoms = { levels = List.map make_level geoms }
+let create geoms = { levels = List.map make_level geoms; n_levels = List.length geoms }
 
-let geometries t = List.map (fun l -> l.geom) t.levels
+let levels t = t.n_levels
 
 type access_result = { level_hit : int; lookups : int }
 
@@ -60,13 +60,18 @@ let probe level addr =
     false
   end
 
+(* Top-level rather than a local closure over [addr], so a lookup
+   allocates nothing. *)
+let rec hit_from levels addr n =
+  match levels with
+  | [] -> n
+  | level :: rest -> if probe level addr then n else hit_from rest addr (n + 1)
+
+let level_hit t addr = hit_from t.levels addr 1
+
 let access t addr =
-  let rec go levels n =
-    match levels with
-    | [] -> { level_hit = n; lookups = n - 1 }
-    | level :: rest -> if probe level addr then { level_hit = n; lookups = n } else go rest (n + 1)
-  in
-  go t.levels 1
+  let level_hit = level_hit t addr in
+  { level_hit; lookups = min level_hit t.n_levels }
 
 let access_range t ~addr ~bytes ~touched =
   if bytes > 0 then begin
@@ -76,8 +81,7 @@ let access_range t ~addr ~bytes ~touched =
     let first = addr / line_bytes in
     let last = (addr + bytes - 1) / line_bytes in
     for line = first to last do
-      let r = access t (line * line_bytes) in
-      touched r.level_hit
+      touched (level_hit t (line * line_bytes))
     done
   end
 

@@ -1,8 +1,8 @@
 type token = int
 
-(* A token-tracked asynchronous transfer. [fl_window] is the staged
-   word range in the input region (sends only) — used to detect staging
-   into a half that is still streaming out. *)
+(* A token-tracked asynchronous transfer, live until waited. [fl_window]
+   is the staged word range in the input region (sends only) — used to
+   detect staging into a half that is still streaming out. *)
 type flight = {
   fl_dir : [ `Send | `Recv ];
   fl_window : int * int;
@@ -10,7 +10,6 @@ type flight = {
   fl_data : float array;  (* drained output (recv tokens) *)
   fl_seq : int;  (* timeline seq of the transfer event (dep edges) *)
   fl_flow : int;  (* trace flow-arrow id, unique per recording sink *)
-  mutable fl_waited : bool;
 }
 
 type t = {
@@ -31,6 +30,8 @@ type t = {
   mutable pending_recv : int option;  (* len *)
   mutable send_done_at : float;  (* completion time of an async send *)
   flights : (token, flight) Hashtbl.t;
+      (* unwaited transfers only: [wait_token] removes its flight, so
+         every walk below costs O(live flights), not O(tokens issued) *)
   mutable next_token : int;
   completions : (float * int) Queue.t;
       (* per-batch device (completion time, compute event seq) pairs,
@@ -119,7 +120,7 @@ let staged_high_water t = t.high_water
    when the stream has arrived (or when the device frees up) and runs
    concurrently with the host from then on. *)
 let note_accel_busy t ~accel_cycles ~start ~until =
-  if accel_cycles > 0.0 then
+  if accel_cycles > 0.0 && Trace.enabled t.tracer then
     Trace.complete t.tracer ~cat:"accel_busy" ~track:Trace.accel_track
       ~args:[ ("accel_cycles", Trace.Num accel_cycles) ]
       ~ts:start ~dur:(until -. start) t.dev.Accel_device.device_name
@@ -289,6 +290,19 @@ let charge_program t ~label =
   t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
   m_transaction ()
 
+(* The transfer's slice on the DMA channel track and the start of the
+   flow arrow its [wait_token] lands. Callers guard with
+   [Trace.enabled] so untraced runs build no argument lists. *)
+let note_async_transfer t ~tstart ~transfer ~len ~tok ~flow name =
+  Trace.complete t.tracer ~cat:"dma_async"
+    ~track:(Trace.dma_channel_track t.dma_id)
+    ~args:[ ("len_words", Trace.Int len); ("token", Trace.Int tok) ]
+    ~ts:tstart ~dur:transfer name;
+  Trace.flow_start t.tracer
+    ~track:(Trace.dma_channel_track t.dma_id)
+    ~ts:(tstart +. (transfer /. 2.0))
+    ~id:flow "dma_token"
+
 let start_send_token t =
   let lo = if t.batch_lo = max_int then 0 else t.batch_lo in
   let len = max 0 (t.high_water - lo) in
@@ -296,8 +310,8 @@ let start_send_token t =
   t.batch_lo <- max_int;
   Hashtbl.iter
     (fun _ fl ->
-      if (not fl.fl_waited) && fl.fl_dir = `Send && ranges_overlap fl.fl_window (lo, lo + len)
-      then failwith "DMA engine: staged batch overlaps a send still in flight")
+      if fl.fl_dir = `Send && ranges_overlap fl.fl_window (lo, lo + len) then
+        failwith "DMA engine: staged batch overlaps a send still in flight")
     t.flights;
   charge_program t ~label:"program_send";
   t.counters.dma_words_sent <- t.counters.dma_words_sent +. float_of_int len;
@@ -326,10 +340,11 @@ let start_send_token t =
     t.ready_at <- afinish;
     t.last_compute_seq <- Some cseq;
     Queue.push (afinish, cseq) t.completions;
-    Trace.complete t.tracer ~cat:"accel_busy"
-      ~track:(Trace.accel_device_track t.dma_id)
-      ~args:[ ("accel_cycles", Trace.Num accel_cycles) ]
-      ~ts:astart ~dur:(afinish -. astart) t.dev.Accel_device.device_name
+    if Trace.enabled t.tracer then
+      Trace.complete t.tracer ~cat:"accel_busy"
+        ~track:(Trace.accel_device_track t.dma_id)
+        ~args:[ ("accel_cycles", Trace.Num accel_cycles) ]
+        ~ts:astart ~dur:(afinish -. astart) t.dev.Accel_device.device_name
   end;
   let flow = Trace.fresh_flow_id t.tracer in
   let tok =
@@ -341,17 +356,10 @@ let start_send_token t =
         fl_data = [||];
         fl_seq = tseq;
         fl_flow = flow;
-        fl_waited = false;
       }
   in
-  Trace.complete t.tracer ~cat:"dma_async"
-    ~track:(Trace.dma_channel_track t.dma_id)
-    ~args:[ ("len_words", Trace.Int len); ("token", Trace.Int tok) ]
-    ~ts:tstart ~dur:transfer "async_send";
-  Trace.flow_start t.tracer
-    ~track:(Trace.dma_channel_track t.dma_id)
-    ~ts:(tstart +. (transfer /. 2.0))
-    ~id:flow "dma_token";
+  if Trace.enabled t.tracer then
+    note_async_transfer t ~tstart ~transfer ~len ~tok ~flow "async_send";
   tok
 
 let start_recv_token t ~len_words =
@@ -386,25 +394,18 @@ let start_recv_token t ~len_words =
         fl_data = data;
         fl_seq = tseq;
         fl_flow = flow;
-        fl_waited = false;
       }
   in
-  Trace.complete t.tracer ~cat:"dma_async"
-    ~track:(Trace.dma_channel_track t.dma_id)
-    ~args:[ ("len_words", Trace.Int len_words); ("token", Trace.Int tok) ]
-    ~ts:tstart ~dur:transfer "async_recv";
-  Trace.flow_start t.tracer
-    ~track:(Trace.dma_channel_track t.dma_id)
-    ~ts:(tstart +. (transfer /. 2.0))
-    ~id:flow "dma_token";
+  if Trace.enabled t.tracer then
+    note_async_transfer t ~tstart ~transfer ~len:len_words ~tok ~flow "async_recv";
   tok
 
 let wait_token t tok =
   match Hashtbl.find_opt t.flights tok with
+  | None when tok >= 0 && tok < t.next_token -> failwith "DMA engine: token already waited"
   | None -> failwith "DMA engine: wait on an unknown token"
-  | Some fl when fl.fl_waited -> failwith "DMA engine: token already waited"
   | Some fl ->
-    fl.fl_waited <- true;
+    Hashtbl.remove t.flights tok;
     let now = t.counters.cycles in
     if fl.fl_finish > now then begin
       (* Transfer still in flight: stall to completion and pay the full
@@ -421,15 +422,14 @@ let wait_token t tok =
       mark t ~start:now ~finish:t.counters.cycles "status_check";
       t.counters.instructions <- t.counters.instructions +. 4.0
     end;
-    Trace.flow_finish t.tracer ~track:Trace.host_track ~id:fl.fl_flow "dma_token";
-    Trace.instant t.tracer ~cat:"dma_async"
-      ~args:[ ("token", Trace.Int tok) ]
-      "wait";
+    if Trace.enabled t.tracer then begin
+      Trace.flow_finish t.tracer ~track:Trace.host_track ~id:fl.fl_flow "dma_token";
+      Trace.instant t.tracer ~cat:"dma_async" ~args:[ ("token", Trace.Int tok) ] "wait"
+    end;
     fl.fl_data
 
 let outstanding_tokens t =
-  Hashtbl.fold (fun tok fl acc -> if fl.fl_waited then acc else tok :: acc) t.flights []
-  |> List.sort compare
+  Hashtbl.fold (fun tok _ acc -> tok :: acc) t.flights [] |> List.sort compare
 
 let reset_device t =
   t.dev.Accel_device.reset_device ();

@@ -112,8 +112,12 @@ val start_recv_token : t -> len_words:int -> token
 val wait_token : t -> token -> float array
 (** Synchronise the host with a transfer. Returns the received words
     for recv tokens ([[||]] for sends). Raises [Failure] on an unknown
-    or already-waited token. *)
+    or already-waited token. The engine forgets a flight once it is
+    waited, so its bookkeeping costs O(live transfers) per token and it
+    never holds a received payload past its wait. *)
 
 val outstanding_tokens : t -> token list
-(** Tokens not yet waited (ascending) — the interpreter's end-of-run
-    leak check. *)
+(** Tokens not yet waited (ascending). Nothing in the pipeline calls
+    this at run time: the IR verifier enforces token linearity
+    statically (every token waited exactly once). It is a probe for
+    tests and debugging. *)

@@ -132,19 +132,18 @@ let engine_track_names t =
 
 (* Charge one cache access at the given byte address. *)
 let charge_access t addr =
-  let result = Cache.access t.cache addr in
-  let levels = List.length (Cache.geometries t.cache) in
+  let level_hit = Cache.level_hit t.cache addr in
   let c = t.counters in
   c.l1_accesses <- c.l1_accesses +. 1.0;
-  if result.Cache.level_hit >= 2 then begin
+  if level_hit >= 2 then begin
     c.l1_misses <- c.l1_misses +. 1.0;
-    if levels >= 2 then c.l2_accesses <- c.l2_accesses +. 1.0
+    if Cache.levels t.cache >= 2 then c.l2_accesses <- c.l2_accesses +. 1.0
   end;
-  if result.Cache.level_hit >= 3 then c.l2_misses <- c.l2_misses +. 1.0;
+  if level_hit >= 3 then c.l2_misses <- c.l2_misses +. 1.0;
   let cycles =
     t.cost.l1_hit_cycles
-    +. (if result.Cache.level_hit >= 2 then t.cost.l2_hit_cycles else 0.0)
-    +. if result.Cache.level_hit >= 3 then t.cost.dram_cycles else 0.0
+    +. (if level_hit >= 2 then t.cost.l2_hit_cycles else 0.0)
+    +. if level_hit >= 3 then t.cost.dram_cycles else 0.0
   in
   c.cycles <- c.cycles +. cycles;
   c.instructions <- c.instructions +. 1.0

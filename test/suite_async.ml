@@ -88,45 +88,114 @@ let test_blocking_counters_regression () =
 (* Engine token semantics                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_pingpong_serialises_halves () =
+(* A v3_2 engine: 2x2 tiles, so one operand load is an opcode and four
+   data words. *)
+let v3_2_engine () =
   let soc = Soc.create () in
-  let config = Presets.matmul ~version:Accel_matmul.V3 ~size:2 () in
-  let engine = Accel_config.attach soc config in
+  Accel_config.attach soc (Presets.matmul ~version:Accel_matmul.V3 ~size:2 ())
+
+let stage_load engine ~offset opcode =
+  Dma_engine.stage engine ~offset (Axi_word.Inst opcode);
+  for i = 1 to 4 do
+    Dma_engine.stage engine ~offset:(offset + i) (Axi_word.Data (float_of_int i))
+  done
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* [f ()] must raise [Failure] whose message mentions [needle]. *)
+let fails_with name needle f =
+  match f () with
+  | exception Failure msg ->
+    Alcotest.(check bool) (Printf.sprintf "%s: %S mentions %S" name msg needle) true
+      (contains msg needle)
+  | _ -> Alcotest.fail (name ^ ": expected Failure")
+
+(* Launch and retire [n] sends, as a long double-buffered run does. *)
+let retire_sends engine n =
+  for _ = 1 to n do
+    stage_load engine ~offset:0 Isa.mm_load_a;
+    ignore (Dma_engine.wait_token engine (Dma_engine.start_send_token engine))
+  done
+
+let test_pingpong_serialises_halves () =
+  let engine = v3_2_engine () in
   (* Stage and launch a send from half 0, then immediately try to
      reuse the same words while the transfer is in flight. *)
-  Dma_engine.stage engine ~offset:0 (Axi_word.Inst Isa.mm_load_a);
-  for i = 1 to 4 do
-    Dma_engine.stage engine ~offset:i (Axi_word.Data 1.0)
-  done;
+  stage_load engine ~offset:0 Isa.mm_load_a;
   let tok = Dma_engine.start_send_token engine in
   Dma_engine.stage engine ~offset:0 (Axi_word.Inst Isa.mm_load_b);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  (match Dma_engine.start_send_token engine with
-  | exception Failure msg ->
-    "overlap error names the hazard" => contains msg "in flight"
-  | _ -> Alcotest.fail "reusing an in-flight half must fail");
+  fails_with "reusing an in-flight half" "in flight" (fun () ->
+      Dma_engine.start_send_token engine);
   ignore (Dma_engine.wait_token engine tok)
 
 let test_wait_token_is_linear () =
-  let soc = Soc.create () in
-  let config = Presets.matmul ~version:Accel_matmul.V3 ~size:2 () in
-  let engine = Accel_config.attach soc config in
-  Dma_engine.stage engine ~offset:0 (Axi_word.Inst Isa.mm_load_a);
-  for i = 1 to 4 do
-    Dma_engine.stage engine ~offset:i (Axi_word.Data 1.0)
-  done;
+  let engine = v3_2_engine () in
+  stage_load engine ~offset:0 Isa.mm_load_a;
   let tok = Dma_engine.start_send_token engine in
   ignore (Dma_engine.wait_token engine tok);
-  (match Dma_engine.wait_token engine tok with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "double wait must fail");
-  match Dma_engine.wait_token engine 999 with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "unknown token must fail"
+  let wait tok () = Dma_engine.wait_token engine tok in
+  fails_with "double wait" "already waited" (wait tok);
+  fails_with "token never issued" "unknown token" (wait 999);
+  fails_with "negative token" "unknown token" (wait (-1))
+
+(* Waited flights leave the engine's table, so its checks must tell
+   "waited long ago" from "never issued" by the token counter alone. *)
+let test_linearity_after_many_tokens () =
+  let engine = v3_2_engine () in
+  retire_sends engine 5000;
+  let wait tok () = Dma_engine.wait_token engine tok in
+  fails_with "first of 5000 tokens" "already waited" (wait 0);
+  fails_with "last of 5000 tokens" "already waited" (wait 4999);
+  fails_with "next token, not yet issued" "unknown token" (wait 5000);
+  Alcotest.(check (list int)) "nothing outstanding" [] (Dma_engine.outstanding_tokens engine);
+  (* the in-flight overlap hazard still fires among thousands of
+     retired flights on the same window *)
+  stage_load engine ~offset:0 Isa.mm_load_a;
+  let live = Dma_engine.start_send_token engine in
+  Alcotest.(check (list int)) "one live flight" [ live ] (Dma_engine.outstanding_tokens engine);
+  stage_load engine ~offset:0 Isa.mm_load_b;
+  fails_with "overlap after retired flights" "in flight" (fun () ->
+      Dma_engine.start_send_token engine);
+  ignore (Dma_engine.wait_token engine live)
+
+let test_reset_forgets_tokens () =
+  let engine = v3_2_engine () in
+  retire_sends engine 3;
+  stage_load engine ~offset:0 Isa.mm_load_a;
+  let unwaited = Dma_engine.start_send_token engine in
+  Dma_engine.reset_device engine;
+  Alcotest.(check (list int)) "reset drops live flights" []
+    (Dma_engine.outstanding_tokens engine);
+  let wait tok () = Dma_engine.wait_token engine tok in
+  fails_with "pre-reset unwaited token" "unknown token" (wait unwaited);
+  fails_with "pre-reset waited token" "unknown token" (wait 0)
+
+(* Wait [tok] and keep only a weak pointer to the payload. Not inlined,
+   so no stack slot of the caller keeps the array alive. *)
+let[@inline never] wait_weakly engine tok =
+  let data = Dma_engine.wait_token engine tok in
+  Alcotest.(check int) "payload length" 4 (Array.length data);
+  let weak = Weak.create 1 in
+  Weak.set weak 0 (Some data);
+  weak
+
+let test_waited_payload_not_retained () =
+  let engine = v3_2_engine () in
+  stage_load engine ~offset:0 Isa.mm_load_a;
+  stage_load engine ~offset:5 Isa.mm_load_b;
+  Dma_engine.stage engine ~offset:10 (Axi_word.Inst Isa.mm_compute);
+  Dma_engine.stage engine ~offset:11 (Axi_word.Inst Isa.mm_drain);
+  let send = Dma_engine.start_send_token engine in
+  let recv = Dma_engine.start_recv_token engine ~len_words:4 in
+  ignore (Dma_engine.wait_token engine send);
+  let weak = wait_weakly engine recv in
+  Gc.full_major ();
+  "the engine dropped the waited payload" => not (Weak.check weak 0);
+  (* the engine itself is still live here *)
+  Alcotest.(check (list int)) "nothing outstanding" [] (Dma_engine.outstanding_tokens engine)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end double buffering                                         *)
@@ -140,6 +209,8 @@ let run_matmul options ~m ~n ~k =
   let counters =
     Axi4mlir.measure bench (fun () -> Axi4mlir.run_matmul bench ~options ir ~a ~b ~c)
   in
+  Alcotest.(check (list int)) "every token waited by the end of the run" []
+    (Dma_engine.outstanding_tokens bench.Axi4mlir.engine);
   (counters, Memref_view.to_array c, ir)
 
 let test_double_buffer_pipelines_and_wins () =
@@ -239,6 +310,11 @@ let tests =
       test_blocking_counters_regression;
     Alcotest.test_case "ping/pong halves serialise" `Quick test_pingpong_serialises_halves;
     Alcotest.test_case "tokens are linear at the engine" `Quick test_wait_token_is_linear;
+    Alcotest.test_case "linearity holds after 5000 retired tokens" `Quick
+      test_linearity_after_many_tokens;
+    Alcotest.test_case "reset_device forgets every token" `Quick test_reset_forgets_tokens;
+    Alcotest.test_case "waited recv payloads are not retained" `Quick
+      test_waited_payload_not_retained;
     Alcotest.test_case "double buffering: same outputs, same words, >=15% faster" `Quick
       test_double_buffer_pipelines_and_wins;
     Alcotest.test_case "accel-level and runtime-level async agree" `Quick
