@@ -58,14 +58,10 @@ let run_tool list_presets preset flow output check platform_preset check_platfor
     match Presets.find_by_name ?flow name with
     | Error msg -> `Error (false, msg)
     | Ok config ->
-      let text = Config_parser.to_string Host_config.pynq_z2 config in
       (match output with
-      | None -> print_endline text
+      | None -> print_endline (Config_parser.to_string Host_config.pynq_z2 config)
       | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        output_char oc '\n';
-        close_out oc;
+        Config_parser.write_file path Host_config.pynq_z2 config;
         Printf.printf "wrote %s\n" path);
       `Ok ())
   | false, None, None, None, None ->

@@ -86,23 +86,25 @@ let finish ~remarks ~metrics =
   match metrics with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    output_string oc (Json.to_string ~indent:2 (metrics_json ()));
-    output_char oc '\n';
-    close_out oc;
+    Json.write_file ~indent:2 path (metrics_json ());
     Printf.eprintf "metrics      : %s\n" path
 
 (* Run [body], dumping remarks/metrics on both the success and the
-   failure path; a [Failure] becomes a cmdliner error (non-zero exit). *)
+   failure path; a [Failure], a malformed IR input or an unreadable
+   input file becomes a cmdliner error (exit 124). *)
 let with_observability ~remarks ~metrics body =
   setup ~remarks ~metrics;
+  let error msg =
+    finish ~remarks ~metrics;
+    `Error (false, msg)
+  in
   match body () with
   | result ->
     finish ~remarks ~metrics;
     result
-  | exception Failure msg ->
-    finish ~remarks ~metrics;
-    `Error (false, msg)
+  | exception Failure msg -> error msg
+  | exception Parser_ir.Parse_error msg -> error ("parse error: " ^ msg)
+  | exception Sys_error msg -> error msg
 
 (* Shared rendering for the `--list-*` introspection flags
    (axi4mlir-opt --list-passes, axi4mlir-tune --list-space): a title

@@ -31,13 +31,9 @@ let parse_file_result path =
 
 let parse_file path = parse_string (read_file path)
 
-let to_string host accel =
-  Json.to_string ~indent:2
-    (Json.Obj
-       [ ("cpu", Host_config.to_json host); ("accelerator", Accel_config.to_json accel) ])
+let to_json host accel =
+  Json.Obj [ ("cpu", Host_config.to_json host); ("accelerator", Accel_config.to_json accel) ]
 
-let write_file path host accel =
-  let oc = open_out_bin path in
-  output_string oc (to_string host accel);
-  output_char oc '\n';
-  close_out oc
+let to_string host accel = Json.to_string ~indent:2 (to_json host accel)
+
+let write_file path host accel = Json.write_file ~indent:2 path (to_json host accel)

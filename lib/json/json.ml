@@ -318,6 +318,40 @@ let to_string ?(indent = 0) json =
   go 0 json;
   Buffer.contents buf
 
+(* Atomic for regular files: the document goes to a fresh temp file in
+   the destination's directory (so the rename stays on one file system)
+   and replaces [path] only once fully written. A crash mid-write leaves
+   the old file intact, never a truncated one. An existing target that
+   is not a regular file (/dev/stdout, /dev/null, a pipe) is written in
+   place: renaming over it would replace the device or fifo. *)
+let write_file ?indent path json =
+  let text = to_string ?indent json in
+  if Sys.file_exists path && not (Sys.is_regular_file path) then begin
+    let oc = open_out_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc text;
+        output_char oc '\n';
+        close_out oc)
+  end
+  else
+    let tmp, oc =
+      Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+        ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+    in
+    match
+      output_string oc text;
+      output_char oc '\n';
+      close_out oc;
+      Sys.rename tmp path
+    with
+    | () -> ()
+    | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
+
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)

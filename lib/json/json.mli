@@ -24,6 +24,15 @@ val of_string : string -> t
 val to_string : ?indent:int -> t -> string
 (** Print a JSON document. [indent > 0] pretty-prints. *)
 
+val write_file : ?indent:int -> string -> t -> unit
+(** Write [to_string ?indent json] and a trailing newline to [path].
+    A regular or missing [path] is replaced atomically: the bytes go to
+    a temp file in the same directory that is then renamed over [path],
+    so readers (and a crash mid-write) only ever see the old or the new
+    document. An existing [path] that is not a regular file (a device
+    such as [/dev/stdout], a named pipe) is written in place. Raises
+    [Sys_error] when the target cannot be written. *)
+
 (** {1 Typed accessors}
 
     All accessors raise {!Type_error} with a path-qualified message on

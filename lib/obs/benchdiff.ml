@@ -101,11 +101,7 @@ let of_json_result json =
 
 let filename exp = Printf.sprintf "BENCH_%s.json" exp
 
-let write_file path doc =
-  let oc = open_out path in
-  output_string oc (Json.to_string ~indent:2 (to_json doc));
-  output_char oc '\n';
-  close_out oc
+let write_file path doc = Json.write_file ~indent:2 path (to_json doc)
 
 let read_file path =
   match

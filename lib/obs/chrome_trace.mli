@@ -31,4 +31,4 @@ val write_file :
   string ->
   Trace.event list ->
   unit
-(** Write {!to_string} to a path, creating or truncating the file. *)
+(** Write {!to_string} to a path, atomically ({!Json.write_file}). *)

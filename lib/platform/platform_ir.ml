@@ -254,13 +254,7 @@ let to_string p =
   in
   Printf.sprintf "%s, %d ch, beat %d" engines p.pf_dma_channels p.pf_axi_beat_bytes
 
-let write_file path p =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string ~indent:1 (to_json p));
-      output_char oc '\n')
+let write_file path p = Json.write_file ~indent:1 path (to_json p)
 
 let load_file path =
   match open_in_bin path with

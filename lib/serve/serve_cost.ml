@@ -33,12 +33,12 @@ let models_of_specs ?(rows = 2) ?(seq = 128) specs =
   | [] -> Error "at least one workload spec is required"
   | _ -> go [] specs
 
-let default_matmul_accel () = Presets.matmul ~version:Accel_matmul.V4 ~size:16 ()
-
 let create ?matmul_accel ?(graphs = []) ?(graph_residency = true) models =
   {
     oc_accel =
-      (match matmul_accel with Some a -> a | None -> default_matmul_accel ());
+      (match matmul_accel with
+      | Some a -> a
+      | None -> Presets.matmul ~version:Accel_matmul.V4 ~size:16 ());
     oc_models = models;
     oc_graphs = graphs;
     oc_graph_residency = graph_residency;
@@ -48,8 +48,6 @@ let create ?matmul_accel ?(graphs = []) ?(graph_residency = true) models =
   }
 
 let models t = List.map fst t.oc_models @ List.map fst t.oc_graphs
-
-let matmul_accel t = t.oc_accel
 
 let memo_stats t = (t.oc_hits, t.oc_misses)
 
@@ -96,71 +94,30 @@ let memoised t key compute =
     Hashtbl.add t.oc_memo key c;
     c
 
-(* The Sec. IV-C "Best" selection, as exp_fig17 applies it: override
-   flow and tiles when a feasible choice exists, otherwise let the
-   pipeline fall back to its defaults. *)
-let best_options accel ~m ~n ~k =
-  match Heuristics.best accel ~m ~n ~k with
-  | Some c ->
-    (* tile overrides are a flexible-engine (v4) feature; fixed-geometry
-       engines always tile by their own size *)
-    let tiles =
-      if accel.Accel_config.flexible then
-        Some [ c.Heuristics.tm; c.Heuristics.tn; c.Heuristics.tk ]
-      else None
-    in
-    { Axi4mlir.default_codegen with flow = Some c.Heuristics.flow; tiles }
-  | None -> Axi4mlir.default_codegen
-
 let counter_parts (counters : Perf_counters.t) =
   ( counters.Perf_counters.cycles,
     counters.Perf_counters.dma_words_sent +. counters.Perf_counters.dma_words_received )
 
-let measure_workload t (w : Tune_workload.t) ~batch =
-  match w with
-  | Tune_workload.Matmul { m; n; k } ->
-    (* batching stacks the batch's activation rows: m -> batch * m with
-       the weight operand B shared across the batch *)
-    let m = m * batch in
-    let accel = t.oc_accel in
-    let bench = Axi4mlir.create accel in
-    let options = best_options accel ~m ~n ~k in
-    let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
-    let ir = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
-    let counters =
-      Axi4mlir.measure bench (fun () -> Axi4mlir.run_matmul bench ~options ir ~a ~b ~c)
-    in
-    counter_parts counters
-  | Tune_workload.Conv { ic; ih; iw; oc; fhw; stride } ->
-    (* batching is the image dimension: n -> batch *)
-    let n = batch in
-    let bench = Axi4mlir.create (Presets.conv ~flow:"Os" ()) in
-    let i, w_, o =
-      Axi4mlir.alloc_conv_operands ~stride bench ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw
-    in
-    let ir = Axi4mlir.build_conv_module ~stride ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw () in
-    let compiled = Axi4mlir.compile bench ir in
-    let counters =
-      Axi4mlir.measure bench (fun () ->
-          Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
-            "conv_call"
-            [ Interp.M i; Interp.M w_; Interp.M o ])
-    in
-    counter_parts counters
-
+(* Batching stacks the batch's activation rows for matmul (m -> batch *
+   m, the weight operand B shared across the batch) and is the image
+   dimension for conv (n -> batch). Matmul runs under the Sec. IV-C
+   "Best" choice, conv on the Os sidecar with default options. *)
 let measure_layer t (named : Tune_workload.named) ~batch =
   let w = named.Tune_workload.wl_workload in
-  match measure_workload t w ~batch with
-  | parts -> parts
-  | exception Pass.Pass_failure { pass; message; _ } ->
-    failwith
-      (Printf.sprintf "serving oracle: %s (batch %d): pass %s: %s"
-         (Tune_workload.to_string w) batch pass message)
-  | exception Interp.Runtime_error msg ->
-    failwith
-      (Printf.sprintf "serving oracle: %s (batch %d): runtime: %s"
-         (Tune_workload.to_string w) batch msg)
-  | exception Failure msg ->
+  let result =
+    match w with
+    | Tune_workload.Matmul { m; n; k } ->
+      let m = m * batch in
+      Tune_eval.measure t.oc_accel
+        (Heuristics.best_codegen t.oc_accel ~m ~n ~k)
+        (Tune_workload.Matmul { m; n; k })
+    | Tune_workload.Conv _ ->
+      Tune_eval.measure ~images:batch (Presets.conv ~flow:"Os" ())
+        Axi4mlir.default_codegen w
+  in
+  match result with
+  | Ok (counters, _) -> counter_parts counters
+  | Error msg ->
     failwith
       (Printf.sprintf "serving oracle: %s (batch %d): %s" (Tune_workload.to_string w)
          batch msg)

@@ -38,11 +38,6 @@ val models_of_specs :
     and repeats (a repeated spec weights the request mix). [Error]
     names the offending spec. *)
 
-val default_matmul_accel : unit -> Accel_config.t
-(** The engine used when [create] gets no [matmul_accel]: the flexible
-    v4_16 preset — the configuration every pre-platform serving run
-    used. *)
-
 val create :
   ?matmul_accel:Accel_config.t ->
   ?graphs:(string * Graph_ir.t) list ->
@@ -52,7 +47,8 @@ val create :
 (** An oracle over the given models, with an empty memo table.
 
     [matmul_accel] is the matmul engine this oracle costs with
-    (default {!default_matmul_accel}) — a heterogeneous platform
+    (default the flexible v4_16 preset, the configuration every
+    pre-platform serving run used) — a heterogeneous platform
     builds one oracle per distinct engine configuration. The conv
     engine is not configurable: every instance carries the same
     Sec. IV-D sidecar.
@@ -63,9 +59,6 @@ val create :
     [graph_residency] (default true) selects the residency-planned
     execution. Graph names shadow nothing: they are looked up before
     the layer-list models. *)
-
-val matmul_accel : t -> Accel_config.t
-(** The engine configuration this oracle was created with. *)
 
 val models : t -> string list
 (** The model names, in [create] order (repeats preserved; graph

@@ -65,11 +65,7 @@ let to_json t =
       ("entries", Json.List (List.rev_map entry_to_json t.entries));
     ]
 
-let save t path =
-  let oc = open_out path in
-  output_string oc (Json.to_string ~indent:2 (to_json t));
-  output_char oc '\n';
-  close_out oc
+let save t path = Json.write_file ~indent:2 path (to_json t)
 
 let entry_of_json json =
   let outcome_json = Json.member "outcome" json in

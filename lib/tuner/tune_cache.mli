@@ -55,4 +55,6 @@ val load : string -> (t, string) result
 
 val save : t -> string -> unit
 (** Write the cache (pretty-printed, stable entry order by first
-    insertion; loaded entries keep their order). *)
+    insertion; loaded entries keep their order). The write is atomic
+    ({!Json.write_file}): a crash mid-save leaves the previous cache
+    file intact. *)

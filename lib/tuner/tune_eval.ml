@@ -14,50 +14,6 @@ let bottleneck_of bench =
   | Ok dg -> Some (Doctor.binding_resource dg)
   | Error _ -> None
 
-let run_candidate ?host workload candidate =
-  match Tune_space.config_of_candidate candidate with
-  | Error msg -> Error msg
-  | Ok config -> (
-    let bench = Axi4mlir.create ?host config in
-    let options = Tune_space.codegen_of_candidate candidate in
-    match workload with
-    | Tune_workload.Matmul { m; n; k } ->
-      let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
-      let compiled = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
-      let counters =
-        Axi4mlir.measure bench (fun () ->
-            Axi4mlir.run_matmul bench ~options compiled ~a ~b ~c)
-      in
-      Ok
-        ( {
-            ev_cycles = counters.Perf_counters.cycles;
-            ev_counters = counters;
-            ev_bottleneck = bottleneck_of bench;
-          },
-          bench )
-    | Tune_workload.Conv { ic; ih; iw; oc; fhw; stride } ->
-      let n = 1 in
-      let i, w, o =
-        Axi4mlir.alloc_conv_operands ~stride bench ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw
-      in
-      let ir =
-        Axi4mlir.build_conv_module ~stride ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw ()
-      in
-      let compiled = Axi4mlir.compile bench ~options ir in
-      let counters =
-        Axi4mlir.measure bench (fun () ->
-            Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
-              "conv_call"
-              [ Interp.M i; Interp.M w; Interp.M o ])
-      in
-      Ok
-        ( {
-            ev_cycles = counters.Perf_counters.cycles;
-            ev_counters = counters;
-            ev_bottleneck = bottleneck_of bench;
-          },
-          bench ))
-
 (* The pipeline signals "cannot offload" with Failure (the facade's
    on_skip) and pass breakage with Pass_failure / Rejected; all are
    ordinary negative outcomes for a tuner. *)
@@ -69,10 +25,47 @@ let protect f =
     Error (Printf.sprintf "%s: %s" pass message)
   | exception Interp.Runtime_error msg -> Error ("runtime: " ^ msg)
 
+let measure ?host ?(images = 1) ?(measure = Axi4mlir.measure) config options workload =
+  protect (fun () ->
+      let bench = Axi4mlir.create ?host config in
+      let run =
+        match workload with
+        | Tune_workload.Matmul { m; n; k } ->
+          let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
+          let compiled = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
+          fun () -> Axi4mlir.run_matmul bench ~options compiled ~a ~b ~c
+        | Tune_workload.Conv { ic; ih; iw; oc; fhw; stride } ->
+          let n = images in
+          let i, w, o =
+            Axi4mlir.alloc_conv_operands ~stride bench ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw
+          in
+          let ir =
+            Axi4mlir.build_conv_module ~stride ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw ()
+          in
+          let compiled = Axi4mlir.compile bench ~options ir in
+          fun () ->
+            Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
+              "conv_call"
+              [ Interp.M i; Interp.M w; Interp.M o ]
+      in
+      Ok (measure bench run, bench))
+
+let run_candidate ?host workload candidate =
+  match Tune_space.config_of_candidate candidate with
+  | Error msg -> Error msg
+  | Ok config -> measure ?host config (Tune_space.codegen_of_candidate candidate) workload
+
 let evaluate ?host ?tracer workload candidate =
   let t0 = Sys.time () in
   let result =
-    protect (fun () -> Result.map fst (run_candidate ?host workload candidate))
+    Result.map
+      (fun (counters, bench) ->
+        {
+          ev_cycles = counters.Perf_counters.cycles;
+          ev_counters = counters;
+          ev_bottleneck = bottleneck_of bench;
+        })
+      (run_candidate ?host workload candidate)
   in
   (match result with
   | Ok _ -> Metrics.incr "tuner_evaluations"
@@ -94,6 +87,6 @@ let evaluate ?host ?tracer workload candidate =
   result
 
 let diagnose ?host workload candidate =
-  match protect (fun () -> run_candidate ?host workload candidate) with
+  match run_candidate ?host workload candidate with
   | Error msg -> Error msg
   | Ok (_, bench) -> Doctor.diagnose (Soc.critpath_input bench.Axi4mlir.soc)

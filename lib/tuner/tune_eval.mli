@@ -24,15 +24,32 @@ type outcome = {
           cache does not persist bottlenecks. *)
 }
 
+val measure :
+  ?host:Host_config.t ->
+  ?images:int ->
+  ?measure:(Axi4mlir.t -> (unit -> unit) -> Perf_counters.t) ->
+  Accel_config.t ->
+  Axi4mlir.codegen_options ->
+  Tune_workload.t ->
+  (Perf_counters.t * Axi4mlir.t, string) result
+(** The one compile+simulate path from a workload to counters: allocate
+    the operands on a fresh SoC for [config], compile with [options]
+    ([compile_matmul], or [build_conv_module] + [compile]), and run the
+    kernel under [measure] (default {!Axi4mlir.measure}; the bench
+    passes its recording wrapper). Conv workloads run [images] images
+    (default 1) under the specialised copy strategy (the
+    hand-written-driver default). Returns the counters and the SoC the
+    run left behind (its timeline feeds the perf doctor); a pipeline
+    rejection is an [Error]. Not counted as a tuner evaluation. *)
+
 val evaluate :
   ?host:Host_config.t ->
   ?tracer:Trace.t ->
   Tune_workload.t ->
   Tune_space.candidate ->
   (outcome, string) result
-(** Compile+simulate the candidate on the workload. Conv workloads run
-    the specialised copy strategy (the hand-written-driver default).
-    [tracer] is the {e tuning} tracer (tuner track), not the simulated
+(** {!measure} the candidate's configuration and codegen options on the
+    workload. [tracer] is the {e tuning} tracer (tuner track), not the simulated
     SoC's. *)
 
 val diagnose :

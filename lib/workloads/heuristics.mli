@@ -72,3 +72,14 @@ val choose : ?cost:Cost_model.t -> Accel_config.t -> m:int -> n:int -> k:int -> 
     configuration's [selected_flow]. [None] when no feasible tiling
     exists (the op stays on the CPU path). Any returned choice divides
     every dimension and fits the per-operand buffers. *)
+
+val codegen_of_choice : Accel_config.t -> choice -> Axi4mlir.codegen_options
+(** The pipeline options that run a choice: the choice's flow, and its
+    [(tm, tn, tk)] tiles when the engine is [flexible] (fixed-geometry
+    engines always tile by their own size, so [tiles] stays [None]).
+    The one place a {!choice} becomes codegen options. *)
+
+val best_codegen : Accel_config.t -> m:int -> n:int -> k:int -> Axi4mlir.codegen_options
+(** {!codegen_of_choice} of {!best} under the default cost model, or
+    {!Axi4mlir.default_codegen} when no feasible choice exists (the
+    pipeline then falls back to its own defaults). *)

@@ -83,6 +83,30 @@ let test_large_int_fallback () =
   | Json.Float _ -> ()
   | _ -> Alcotest.fail "expected float fallback"
 
+(* write_file replaces the target atomically via a sibling temp file;
+   after a successful write only the target remains. *)
+let test_write_file () =
+  let dir = Filename.temp_dir "axi4mlir_json" "" in
+  let path = Filename.concat dir "doc.json" in
+  let doc = Json.Obj [ ("a", Json.Int 1); ("b", Json.List [ Json.String "x" ]) ] in
+  Json.write_file ~indent:2 path (Json.String "old");
+  Json.write_file ~indent:2 path doc;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "bytes" (Json.to_string ~indent:2 doc ^ "\n") text;
+  Alcotest.(check bool) "round trip" true (Json.of_string text = doc);
+  Alcotest.(check (list string)) "no temp file left" [ "doc.json" ]
+    (Array.to_list (Sys.readdir dir));
+  Sys.remove path;
+  Sys.rmdir dir
+
+(* A target that exists but is not a regular file is written in place:
+   renaming a temp file over /dev/null would replace the device. *)
+let test_write_file_device () =
+  Json.write_file ~indent:2 "/dev/null" (Json.Obj [ ("a", Json.Int 1) ]);
+  Alcotest.(check bool) "/dev/null still a device" false (Sys.is_regular_file "/dev/null")
+
 let tests =
   [
     Alcotest.test_case "scalars" `Quick test_scalars;
@@ -92,4 +116,6 @@ let tests =
     Alcotest.test_case "parse errors" `Quick test_errors;
     Alcotest.test_case "type errors" `Quick test_type_errors;
     Alcotest.test_case "large integer fallback" `Quick test_large_int_fallback;
+    Alcotest.test_case "write_file: atomic round trip" `Quick test_write_file;
+    Alcotest.test_case "write_file: device written in place" `Quick test_write_file_device;
   ]

@@ -442,6 +442,17 @@ let prop_fifo_order =
 let real_oracle () =
   Serve_cost.create (ok (Serve_cost.models_of_specs [ "matmul:16,16,16" ]))
 
+(* a layer the pipeline rejects surfaces as a Failure naming the
+   layer and batch, not as a raw pipeline exception *)
+let test_oracle_rejection () =
+  let oracle = Serve_cost.create (ok (Serve_cost.models_of_specs [ "matmul:17,16,16" ])) in
+  let prefix = "serving oracle: matmul 17x16x16 (batch 1):" in
+  match Serve_cost.service oracle "matmul:17,16,16" ~batch:1 with
+  | _ -> Alcotest.fail "17x16x16 must be rejected on v4_16"
+  | exception Failure msg ->
+    Alcotest.(check string) "message prefix" prefix
+      (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+
 (* what the oracle should measure, spelled out independently: the
    Best-heuristic compile+run of the single kernel, exactly as the
    bench experiments do it *)
@@ -722,6 +733,8 @@ let tests =
       test_single_request_matches_pipeline;
     Alcotest.test_case "differential: batching amortises" `Quick
       test_batched_kernel_amortises;
+    Alcotest.test_case "oracle: rejected layer fails with context" `Quick
+      test_oracle_rejection;
     Alcotest.test_case "golden: serve artifact" `Quick test_golden_artifact;
     Alcotest.test_case "golden: batch-policy artifact" `Quick
       test_golden_batch_artifact;

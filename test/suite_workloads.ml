@@ -152,6 +152,25 @@ let test_choose_fixed_engine () =
   Alcotest.(check bool) "non-dividing -> None" true
     (Heuristics.choose v3 ~m:30 ~n:32 ~k:32 = None)
 
+(* best_codegen is Best's choice as pipeline options: tiles only on
+   flexible engines, and the pipeline defaults when nothing fits. *)
+let test_best_codegen () =
+  let m, n, k = (32, 256, 512) in
+  (match Heuristics.best v4 ~m ~n ~k with
+  | Some c ->
+    let options = Heuristics.best_codegen v4 ~m ~n ~k in
+    Alcotest.(check (option (list int))) "v4 tiles = Best's"
+      (Some [ c.Heuristics.tm; c.Heuristics.tn; c.Heuristics.tk ])
+      options.Axi4mlir.tiles;
+    Alcotest.(check (option string)) "v4 flow = Best's" (Some c.Heuristics.flow)
+      options.Axi4mlir.flow
+  | None -> Alcotest.fail "32x256x512 must be feasible on v4_16");
+  let v3 = Presets.matmul ~version:Accel_matmul.V3 ~size:16 () in
+  Alcotest.(check (option (list int))) "fixed engine: no tile override" None
+    (Heuristics.best_codegen v3 ~m ~n ~k).Axi4mlir.tiles;
+  Alcotest.(check bool) "infeasible -> default_codegen" true
+    (Heuristics.best_codegen v4 ~m:17 ~n:16 ~k:16 = Axi4mlir.default_codegen)
+
 (* Property: whatever choose returns fits the engine and divides the
    problem — the contract the autotuner's baseline leans on. *)
 let prop_choose_fits =
@@ -210,6 +229,7 @@ let tests =
     Alcotest.test_case "choose: flexible engines use Best" `Quick test_choose_flexible_is_best;
     Alcotest.test_case "choose: fixed engines, square tile or CPU" `Quick
       test_choose_fixed_engine;
+    Alcotest.test_case "best_codegen: Best choice as options" `Quick test_best_codegen;
     QCheck_alcotest.to_alcotest prop_choose_fits;
     QCheck_alcotest.to_alcotest prop_transfer_formula;
   ]
