@@ -133,7 +133,19 @@ let measure t thunk =
      to cover any DMA/accelerator agent still busy past it. Identity
      for blocking runs (the timeline is empty there). *)
   Soc.absorb_makespan t.soc;
-  Perf_counters.copy t.soc.Soc.counters
+  let c = t.soc.Soc.counters in
+  (* The registry's DMA totals are a fold over the run's counters, so
+     they cannot disagree with them. A run that moved nothing records
+     no series. *)
+  List.iter
+    (fun (name, total) -> if total <> 0.0 then Metrics.incr name ~by:total)
+    [
+      ("sim.dma_transactions", c.Perf_counters.dma_transactions);
+      ("sim.dma_words_sent", c.dma_words_sent);
+      ("sim.dma_words_received", c.dma_words_received);
+      ("sim.accel_busy_cycles", c.accel_busy_cycles);
+    ];
+  Perf_counters.copy c
 
 let task_clock_ms t counters =
   Perf_counters.task_clock_ms counters ~cpu_freq_mhz:t.host.Host_config.frequency_mhz

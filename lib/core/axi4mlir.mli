@@ -141,6 +141,9 @@ val run_matmul :
 
 val measure : t -> (unit -> unit) -> Perf_counters.t
 (** Reset the SoC run state, run the thunk, and return a snapshot of
-    the counters. *)
+    the counters. The run's non-zero [dma_transactions],
+    [dma_words_sent], [dma_words_received] and [accel_busy_cycles]
+    totals are added to {!Metrics.default} as the [sim.*] counters of
+    the same names. *)
 
 val task_clock_ms : t -> Perf_counters.t -> float

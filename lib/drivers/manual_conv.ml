@@ -12,16 +12,10 @@ let run soc (config : Accel_config.t) ?(flow = "Ws") ?(stride = 1) ~input ~filte
   if ic * fh * fw > config.buffer_capacity_elems then
     failwith "Manual_conv: slice exceeds the engine's buffer capacity";
   let lib = Dma_library.init soc ~dma_id:config.dma.dma_id ~strategy:Dma_library.Specialized in
-  let send_two a bword =
-    let offset = Dma_library.stage_literal lib a ~offset:0 in
-    ignore (Dma_library.stage_literal lib bword ~offset);
-    Dma_library.flush_send lib
-  in
   (* reset + configuration *)
-  ignore (Dma_library.stage_literal lib Isa.reset ~offset:0);
-  Dma_library.flush_send lib;
-  send_two Isa.cv_set_fhw fh;
-  send_two Isa.cv_set_ic ic;
+  Dma_library.send_reset lib;
+  Dma_library.send_literals lib [ Isa.cv_set_fhw; fh ];
+  Dma_library.send_literals lib [ Isa.cv_set_ic; ic ];
   let send_tile lit view =
     Soc.alu soc 6;
     let offset = Dma_library.stage_literal lib lit ~offset:0 in
@@ -33,18 +27,8 @@ let run soc (config : Accel_config.t) ?(flow = "Ws") ?(stride = 1) ~input ~filte
   let recv_tile view =
     Soc.alu soc 6;
     ignore (Dma_library.stage_literal lib Isa.cv_drain ~offset:0);
-    Dma_library.flush_send lib;
-    let count = Memref_view.num_elements view in
-    Dma_engine.start_recv (Dma_library.engine lib) ~len_words:count;
-    let data = Dma_engine.wait_recv (Dma_library.engine lib) in
-    Dma_library.copy_from_data_with lib (Dma_library.manual_strategy view) view
-      ~accumulate:true data
-  in
-  let loop count body =
-    for i = 0 to count - 1 do
-      Soc.loop_iteration soc;
-      body i
-    done
+    Dma_library.recv_into lib ~strategy:(Dma_library.manual_strategy view) view
+      ~accumulate:true
   in
   let w_slice f =
     Memref_view.subview filter ~offsets:[ f; 0; 0; 0 ] ~sizes:[ 1; ic; fh; fw ]
@@ -67,26 +51,26 @@ let run soc (config : Accel_config.t) ?(flow = "Ws") ?(stride = 1) ~input ~filte
   | "Rs" ->
     (* weights stationary, one drain per output row — the natural
        hand-optimised batching *)
-    loop oc (fun f ->
+    Soc.loop soc oc (fun f ->
         send_tile Isa.cv_load_w (w_slice f);
-        loop n (fun b ->
-            loop oh (fun y ->
-                loop ow (fun x -> send_tile Isa.cv_patch (patch b y x));
+        Soc.loop soc n (fun b ->
+            Soc.loop soc oh (fun y ->
+                Soc.loop soc ow (fun x -> send_tile Isa.cv_patch (patch b y x));
                 recv_tile (out_row b f y))))
   | "Ws" ->
-    loop oc (fun f ->
+    Soc.loop soc oc (fun f ->
         send_tile Isa.cv_load_w (w_slice f);
-        loop n (fun b ->
-            loop oh (fun y ->
-                loop ow (fun x ->
+        Soc.loop soc n (fun b ->
+            Soc.loop soc oh (fun y ->
+                Soc.loop soc ow (fun x ->
                     send_tile Isa.cv_patch (patch b y x);
                     recv_tile (out_pixel b f y x)))))
   | "Os" ->
-    loop oc (fun f ->
+    Soc.loop soc oc (fun f ->
         send_tile Isa.cv_load_w (w_slice f);
-        loop n (fun b ->
-            loop oh (fun y ->
-                loop ow (fun x -> send_tile Isa.cv_patch (patch b y x)));
+        Soc.loop soc n (fun b ->
+            Soc.loop soc oh (fun y ->
+                Soc.loop soc ow (fun x -> send_tile Isa.cv_patch (patch b y x)));
             recv_tile (out_slice b f)))
   | other -> failwith (Printf.sprintf "Manual_conv: unknown flow %s" other));
   Dma_library.free lib

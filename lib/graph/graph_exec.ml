@@ -119,12 +119,6 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
     total_skipped := !total_skipped + words
   in
   (* --- the conv driver (manual Os flow + residency extensions) --- *)
-  let send_two a bword =
-    let l = the_lib () in
-    let offset = Dma_library.stage_literal l a ~offset:0 in
-    ignore (Dma_library.stage_literal l bword ~offset);
-    Dma_library.flush_send l
-  in
   let send_tile lit v =
     let l = the_lib () in
     Soc.alu soc 6;
@@ -136,26 +130,13 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
   let send_literals lits =
     let l = the_lib () in
     Soc.alu soc 6;
-    let offset = ref 0 in
-    List.iter (fun w -> offset := Dma_library.stage_literal l w ~offset:!offset) lits;
-    Dma_library.flush_send l
+    Dma_library.send_literals l lits
   in
   let recv_tile v =
     let l = the_lib () in
     Soc.alu soc 6;
     ignore (Dma_library.stage_literal l Isa.cv_drain ~offset:0);
-    Dma_library.flush_send l;
-    let count = Memref_view.num_elements v in
-    Dma_engine.start_recv (Dma_library.engine l) ~len_words:count;
-    let data = Dma_engine.wait_recv (Dma_library.engine l) in
-    Dma_library.copy_from_data_with l (Dma_library.manual_strategy v) v
-      ~accumulate:false data
-  in
-  let loop count body =
-    for i = 0 to count - 1 do
-      Soc.loop_iteration soc;
-      body i
-    done
+    Dma_library.recv_into l ~strategy:(Dma_library.manual_strategy v) v ~accumulate:false
   in
   let run_conv nd (d : Graph_residency.decision) ~images =
     let dims = Graph_ir.conv_dims g nd in
@@ -178,24 +159,25 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
     if not residency then begin
       (* per-kernel: fresh engine state, every transfer explicit *)
       Dma_library.send_reset (the_lib ());
-      send_two Isa.cv_set_fhw dims.cd_fhw;
-      send_two Isa.cv_set_ic dims.cd_ic;
+      Dma_library.send_literals (the_lib ()) [ Isa.cv_set_fhw; dims.cd_fhw ];
+      Dma_library.send_literals (the_lib ()) [ Isa.cv_set_ic; dims.cd_ic ];
       List.iter
         (fun b ->
-          loop dims.cd_oc (fun f ->
+          Soc.loop soc dims.cd_oc (fun f ->
               send_tile Isa.cv_load_w (w_slice f);
-              loop dims.cd_oh (fun y ->
-                  loop dims.cd_ow (fun x -> send_tile Isa.cv_patch (patch b y x)));
+              Soc.loop soc dims.cd_oh (fun y ->
+                  Soc.loop soc dims.cd_ow (fun x ->
+                      send_tile Isa.cv_patch (patch b y x)));
               recv_tile (out_slice b f)))
         images
     end
     else begin
       let w_region = Accel_device.find_region device "weights" in
       let act_region = Accel_device.find_region device "activations" in
-      send_two Isa.cv_set_fhw dims.cd_fhw;
-      send_two Isa.cv_set_ic dims.cd_ic;
+      Dma_library.send_literals (the_lib ()) [ Isa.cv_set_fhw; dims.cd_fhw ];
+      Dma_library.send_literals (the_lib ()) [ Isa.cv_set_ic; dims.cd_ic ];
       if d.Graph_residency.dc_chain_in then
-        send_two Isa.cv_set_stride dims.cd_stride;
+        Dma_library.send_literals (the_lib ()) [ Isa.cv_set_stride; dims.cd_stride ];
       let ensure_slice f =
         match w_region with
         | None -> send_tile Isa.cv_load_w (w_slice f)
@@ -212,13 +194,14 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
       in
       if d.dc_stationary then
         (* filter-major across the batch: each slice crosses once *)
-        loop dims.cd_oc (fun f ->
+        Soc.loop soc dims.cd_oc (fun f ->
             ensure_slice f;
             List.iter
               (fun b ->
                 Soc.loop_iteration soc;
-                loop dims.cd_oh (fun y ->
-                    loop dims.cd_ow (fun x -> send_tile Isa.cv_patch (patch b y x)));
+                Soc.loop soc dims.cd_oh (fun y ->
+                    Soc.loop soc dims.cd_ow (fun x ->
+                        send_tile Isa.cv_patch (patch b y x)));
                 recv_tile (out_slice b f))
               images)
       else
@@ -237,10 +220,10 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
                       device (plan/executor desync)"
                      nd.nd_name in_tag)
             end;
-            loop dims.cd_oc (fun f ->
+            Soc.loop soc dims.cd_oc (fun f ->
                 ensure_slice f;
-                loop dims.cd_oh (fun y ->
-                    loop dims.cd_ow (fun x ->
+                Soc.loop soc dims.cd_oh (fun y ->
+                    Soc.loop soc dims.cd_ow (fun x ->
                         if d.dc_chain_in then
                           send_literals
                             [ Isa.cv_patch_resident; y; x ]

@@ -212,11 +212,7 @@ let accel_op t frame (o : Ir.op) =
   | "accel.recv" ->
     let view = as_view frame (arg 0) in
     let accumulate = Accel.recv_mode_of o = Accel.Accumulate in
-    Dma_library.flush_send (lib t);
-    let n = Memref_view.num_elements view in
-    Dma_engine.start_recv (Dma_library.engine (lib t)) ~len_words:n;
-    let data = Dma_engine.wait_recv (Dma_library.engine (lib t)) in
-    Dma_library.copy_from_data_with (lib t) t.copy_strategy view ~accumulate data;
+    Dma_library.recv_into (lib t) view ~accumulate;
     bind_result (I 0)
   | "accel.start_send" -> bind_result (T (Dma_library.start_send (lib t)))
   | "accel.start_recv" ->

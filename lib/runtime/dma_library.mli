@@ -38,8 +38,6 @@ type strategy =
 
 type t
 
-val strategy_to_string : strategy -> string
-
 val init : ?double_buffer:bool -> Soc.t -> dma_id:int -> strategy:strategy -> t
 (** Look up the DMA engine registered under [dma_id] and charge the
     one-time initialisation cost. With [double_buffer], flushes use the
@@ -58,7 +56,6 @@ val manual_strategy : Memref_view.t -> strategy
 
 val free : t -> unit
 val soc : t -> Soc.t
-val strategy : t -> strategy
 val engine : t -> Dma_engine.t
 
 val stage_literal : t -> int -> offset:int -> int
@@ -92,14 +89,21 @@ val skip_resident : t -> words:int -> what:string -> unit
     [runtime.dma_words_skipped] metric and leaves a marker on the DMA
     trace track via {!Dma_engine.note_skipped}. No DMA words move. *)
 
-val recv_into : t -> Memref_view.t -> accumulate:bool -> unit
+val recv_into : t -> ?strategy:strategy -> Memref_view.t -> accumulate:bool -> unit
 (** Flush staged words, receive [num_elements] words from the
-    accelerator and copy them into the view ([+=] when
-    [accumulate]). *)
+    accelerator and copy them into the view ([+=] when [accumulate])
+    with [strategy] (default: the library's). This is the one blocking
+    receive of the interpreter's [accel.recv], the manual drivers and
+    the graph executor; lowered host code calls the separate
+    [dma_start_recv]/[dma_wait_recv] entry points instead. *)
+
+val send_literals : t -> int list -> unit
+(** Stage the instruction words from offset 0 and flush them as one
+    transfer (an opcode and its operands). *)
 
 val send_reset : t -> unit
-(** Stage and flush the reset opcode ({!Isa.reset}) — the common
-    [init_opcodes] flow. *)
+(** [send_literals t [ Isa.reset ]] — the common [init_opcodes]
+    flow. *)
 
 (** {1 Non-blocking transfers}
 

@@ -82,24 +82,12 @@ let mark t ?dep ~start ~finish label =
 let device t = t.dev
 let in_capacity_words t = Array.length t.in_region
 
-(* Registry mirrors of the perf-counter bumps below. The metric totals
-   must stay exactly equal to the corresponding Perf_counters fields
-   over a measured run — the fuzz oracle asserts it — so every counter
-   update site pairs with one of these. *)
-let m_transaction () = Metrics.incr "sim.dma_transactions"
-let m_words_sent len = Metrics.incr "sim.dma_words_sent" ~by:(float_of_int len)
-let m_words_received len = Metrics.incr "sim.dma_words_received" ~by:(float_of_int len)
-let m_accel_busy cycles = Metrics.incr "sim.accel_busy_cycles" ~by:cycles
-
 (* A transfer the residency planner proved unnecessary: nothing is
    staged, no words move, no counters are charged — the saving is a
    genuinely absent transaction. This only leaves a marker on the DMA
-   channel's trace track (and a metric) so the timeline shows *why*
-   the words are missing. *)
+   channel's trace track so the timeline shows *why* the words are
+   missing. *)
 let note_skipped t ~words ~what =
-  Metrics.incr "sim.dma_words_skipped"
-    ~by:(float_of_int words)
-    ~labels:[ ("what", what) ];
   Trace.instant t.tracer ~cat:"residency"
     ~track:(Trace.dma_channel_track t.dma_id)
     ~args:[ ("words", Trace.Int words); ("what", Trace.Str what) ]
@@ -125,6 +113,47 @@ let note_accel_busy t ~accel_cycles ~start ~until =
       ~args:[ ("accel_cycles", Trace.Num accel_cycles) ]
       ~ts:start ~dur:(until -. start) t.dev.Accel_device.device_name
 
+(* Each step of a transfer is charged in exactly one place below; the
+   blocking, double-buffered and token paths differ only in how they
+   compose these steps with the host clock and the timeline. *)
+
+let charge_program t ~label =
+  let t0 = t.counters.cycles in
+  t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
+  mark t ~start:t0 ~finish:t.counters.cycles label;
+  t.counters.instructions <- t.counters.instructions +. 20.0;
+  t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0
+
+(* A blocking wait: the host streams [len] words, then polls the
+   status register until the engine reports completion. *)
+let charge_blocking_transfer t ~len label =
+  let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
+  let t0 = t.counters.cycles in
+  t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
+  mark t ~start:t0 ~finish:(t0 +. transfer) label;
+  mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll"
+
+(* Deliver the staged words [lo, lo + len) to the device; returns the
+   accelerator cycles they cost. *)
+let stream_to_device t ~lo ~len =
+  t.counters.dma_words_sent <- t.counters.dma_words_sent +. float_of_int len;
+  Metrics.observe "sim.dma_send_len_words" (float_of_int len);
+  let accel_cycles = t.dev.Accel_device.consume (Array.sub t.in_region lo len) in
+  t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
+  accel_cycles
+
+let stream_from_device t len =
+  t.counters.dma_words_received <- t.counters.dma_words_received +. float_of_int len;
+  Metrics.observe "sim.dma_recv_len_words" (float_of_int len);
+  t.dev.Accel_device.drain len
+
+(* The device starts once the stream has arrived (or once it frees up)
+   and runs concurrently with the host from then on. *)
+let occupy_device t ~arrival accel_cycles =
+  let start = Float.max arrival t.ready_at in
+  t.ready_at <- start +. Cost_model.accel_to_cpu_cycles t.cost accel_cycles;
+  note_accel_busy t ~accel_cycles ~start ~until:t.ready_at
+
 let start_send t ~offset ~len_words =
   if t.pending_send <> None then failwith "DMA engine: send already in flight";
   if offset < 0 || offset + len_words > Array.length t.in_region then
@@ -132,12 +161,7 @@ let start_send t ~offset ~len_words =
   Trace.begin_span t.tracer ~cat:"dma_send"
     ~args:[ ("len_words", Trace.Int len_words) ]
     "program_send";
-  let t0 = t.counters.cycles in
-  t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
-  mark t ~start:t0 ~finish:t.counters.cycles "program_send";
-  t.counters.instructions <- t.counters.instructions +. 20.0;
-  t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
-  m_transaction ();
+  charge_program t ~label:"program_send";
   Trace.end_span t.tracer;
   t.pending_send <- Some (offset, len_words)
 
@@ -149,23 +173,9 @@ let wait_send t =
     Trace.begin_span t.tracer ~cat:"dma_send"
       ~args:[ ("len_words", Trace.Int len) ]
       "wait_send";
-    let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
-    let t0 = t.counters.cycles in
-    t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
-    mark t ~start:t0 ~finish:(t0 +. transfer) "host_send";
-    mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
-    t.counters.dma_words_sent <- t.counters.dma_words_sent +. float_of_int len;
-    m_words_sent len;
-    Metrics.observe "sim.dma_send_len_words" (float_of_int len);
-    let words = Array.sub t.in_region offset len in
-    let accel_cycles = t.dev.Accel_device.consume words in
-    t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
-    m_accel_busy accel_cycles;
-    (* The device starts processing when the stream arrives and runs
-       concurrently with the host from then on. *)
-    let start = Float.max t.counters.cycles t.ready_at in
-    t.ready_at <- start +. Cost_model.accel_to_cpu_cycles t.cost accel_cycles;
-    note_accel_busy t ~accel_cycles ~start ~until:t.ready_at;
+    charge_blocking_transfer t ~len "host_send";
+    let accel_cycles = stream_to_device t ~lo:offset ~len in
+    occupy_device t ~arrival:t.counters.cycles accel_cycles;
     Trace.end_span t.tracer
 
 let send_staged t =
@@ -191,25 +201,11 @@ let send_staged_async t =
       "send_async";
     (* only two buffer halves: wait out any transfer still in flight *)
     sync_sends t;
-    let t0 = t.counters.cycles in
-    t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
-    mark t ~start:t0 ~finish:t.counters.cycles "program_send";
-    t.counters.instructions <- t.counters.instructions +. 20.0;
-    t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
-    t.counters.dma_words_sent <- t.counters.dma_words_sent +. float_of_int len;
-    m_transaction ();
-    m_words_sent len;
-    Metrics.observe "sim.dma_send_len_words" (float_of_int len);
+    charge_program t ~label:"program_send";
     let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
     t.send_done_at <- t.counters.cycles +. transfer;
-    let words = Array.sub t.in_region 0 len in
-    let accel_cycles = t.dev.Accel_device.consume words in
-    t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
-    m_accel_busy accel_cycles;
-    (* the device starts once the stream has fully arrived *)
-    let start = Float.max t.send_done_at t.ready_at in
-    t.ready_at <- start +. Cost_model.accel_to_cpu_cycles t.cost accel_cycles;
-    note_accel_busy t ~accel_cycles ~start ~until:t.ready_at;
+    let accel_cycles = stream_to_device t ~lo:0 ~len in
+    occupy_device t ~arrival:t.send_done_at accel_cycles;
     Trace.end_span t.tracer
   end;
   t.high_water <- 0;
@@ -221,12 +217,7 @@ let start_recv t ~len_words =
   Trace.begin_span t.tracer ~cat:"dma_recv"
     ~args:[ ("len_words", Trace.Int len_words) ]
     "program_recv";
-  let t0 = t.counters.cycles in
-  t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
-  mark t ~start:t0 ~finish:t.counters.cycles "program_recv";
-  t.counters.instructions <- t.counters.instructions +. 20.0;
-  t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
-  m_transaction ();
+  charge_program t ~label:"program_recv";
   Trace.end_span t.tracer;
   t.pending_recv <- Some len_words
 
@@ -253,15 +244,8 @@ let wait_recv t =
       t.counters.cycles <- t.ready_at
     end;
     Trace.end_span t.tracer;
-    let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
-    let t0 = t.counters.cycles in
-    t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
-    mark t ~start:t0 ~finish:(t0 +. transfer) "host_recv";
-    mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
-    t.counters.dma_words_received <- t.counters.dma_words_received +. float_of_int len;
-    m_words_received len;
-    Metrics.observe "sim.dma_recv_len_words" (float_of_int len);
-    let data = t.dev.Accel_device.drain len in
+    charge_blocking_transfer t ~len "host_recv";
+    let data = stream_from_device t len in
     Trace.end_span t.tracer;
     data
 
@@ -281,14 +265,6 @@ let register_flight t fl =
   t.next_token <- tok + 1;
   Hashtbl.replace t.flights tok fl;
   tok
-
-let charge_program t ~label =
-  let t0 = t.counters.cycles in
-  t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
-  mark t ~start:t0 ~finish:t.counters.cycles label;
-  t.counters.instructions <- t.counters.instructions +. 20.0;
-  t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
-  m_transaction ()
 
 (* The transfer's slice on the DMA channel track and the start of the
    flow arrow its [wait_token] lands. Callers guard with
@@ -314,9 +290,6 @@ let start_send_token t =
         failwith "DMA engine: staged batch overlaps a send still in flight")
     t.flights;
   charge_program t ~label:"program_send";
-  t.counters.dma_words_sent <- t.counters.dma_words_sent +. float_of_int len;
-  m_words_sent len;
-  Metrics.observe "sim.dma_send_len_words" (float_of_int len);
   let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
   let tstart = Float.max t.counters.cycles (Timeline.busy_until t.dma_agent) in
   let tfinish =
@@ -324,10 +297,7 @@ let start_send_token t =
       ~duration:transfer ~label:"send" ()
   in
   let tseq = Timeline.last_seq t.timeline in
-  let words = Array.sub t.in_region lo len in
-  let accel_cycles = t.dev.Accel_device.consume words in
-  t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
-  m_accel_busy accel_cycles;
+  let accel_cycles = stream_to_device t ~lo ~len in
   if accel_cycles > 0.0 then begin
     let not_before = Float.max tfinish t.ready_at in
     let astart = Float.max not_before (Timeline.busy_until t.accel_agent) in
@@ -365,9 +335,6 @@ let start_send_token t =
 let start_recv_token t ~len_words =
   if len_words > t.out_capacity then failwith "DMA engine: recv exceeds output region";
   charge_program t ~label:"program_recv";
-  t.counters.dma_words_received <- t.counters.dma_words_received +. float_of_int len_words;
-  m_words_received len_words;
-  Metrics.observe "sim.dma_recv_len_words" (float_of_int len_words);
   (* The batch this receive drains is the oldest undrained compute. *)
   let completion, dep =
     if Queue.is_empty t.completions then (t.ready_at, t.last_compute_seq)
@@ -383,7 +350,7 @@ let start_recv_token t ~len_words =
       ~label:"recv" ()
   in
   let tseq = Timeline.last_seq t.timeline in
-  let data = t.dev.Accel_device.drain len_words in
+  let data = stream_from_device t len_words in
   let flow = Trace.fresh_flow_id t.tracer in
   let tok =
     register_flight t

@@ -51,10 +51,9 @@ val staged_high_water : t -> int
 
 val note_skipped : t -> words:int -> what:string -> unit
 (** Mark a transfer the residency planner elided: records an instant on
-    the DMA channel's trace track and a [sim.dma_words_skipped] metric.
-    No words move and no performance counters are charged — a skipped
-    transfer is genuinely absent from the timeline, this is only the
-    explanation marker. *)
+    the DMA channel's trace track. No words move and no performance
+    counters are charged — a skipped transfer is genuinely absent from
+    the timeline, this is only the explanation marker. *)
 
 val start_send : t -> offset:int -> len_words:int -> unit
 (** Program an input transfer of [len_words] starting at word [offset].
@@ -75,9 +74,6 @@ val send_staged_async : t -> unit
     next tile in the other half of the (ping-pong) input region. If a
     previous asynchronous transfer is still in flight, the host first
     stalls until it completes (there are only two buffer halves). *)
-
-val sync_sends : t -> unit
-(** Stall the host until any in-flight asynchronous send completes. *)
 
 val start_recv : t -> len_words:int -> unit
 val wait_recv : t -> float array

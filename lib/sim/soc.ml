@@ -203,6 +203,12 @@ let loop_iteration t =
   t.counters.instructions <- t.counters.instructions +. 2.0;
   branch t 1
 
+let loop t n body =
+  for i = 0 to n - 1 do
+    loop_iteration t;
+    body i
+  done
+
 let call_overhead t =
   t.counters.cycles <- t.counters.cycles +. 4.0;
   t.counters.instructions <- t.counters.instructions +. 2.0;

@@ -125,6 +125,10 @@ val loop_iteration : t -> unit
 (** Per-iteration loop overhead: compare+increment plus one counted
     branch. *)
 
+val loop : t -> int -> (int -> unit) -> unit
+(** [loop t n body] runs [body 0] .. [body (n - 1)], charging
+    {!loop_iteration} before each — a driver's counted [for] loop. *)
+
 val call_overhead : t -> unit
 (** Function call + return (charged by the runtime library entry
     points). *)

@@ -280,6 +280,49 @@ let test_derived_bench_metrics () =
   Alcotest.(check (float 0.0)) "zero-cycle run yields 0, not nan" 0.0
     (List.assoc "gflops_per_cycle" zero)
 
+(* The registry's [sim.*] DMA totals are folded from the measured runs'
+   counters, so they equal them exactly over blocking and
+   double-buffered runs alike. *)
+let sim_totals =
+  [
+    ("sim.dma_transactions", fun c -> c.Perf_counters.dma_transactions);
+    ("sim.dma_words_sent", fun c -> c.Perf_counters.dma_words_sent);
+    ("sim.dma_words_received", fun c -> c.Perf_counters.dma_words_received);
+    ("sim.accel_busy_cycles", fun c -> c.Perf_counters.accel_busy_cycles);
+  ]
+
+let measured_matmul ~double_buffer =
+  let accel = Presets.matmul ~version:Accel_matmul.V3 ~size:16 ~flow:"Ns" () in
+  let bench = Axi4mlir.create accel in
+  let m, n, k = (32, 32, 32) in
+  let options = { Axi4mlir.default_codegen with double_buffer } in
+  let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
+  let ir = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
+  Axi4mlir.measure bench (fun () -> Axi4mlir.run_matmul bench ~options ir ~a ~b ~c)
+
+let test_sim_totals_fold_counters () =
+  let reg = Metrics.default in
+  let was_enabled = Metrics.enabled reg in
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.reset reg;
+      if not was_enabled then Metrics.disable reg)
+    (fun () ->
+      Metrics.enable reg;
+      Metrics.reset reg;
+      let blocking = measured_matmul ~double_buffer:false in
+      let db = measured_matmul ~double_buffer:true in
+      List.iter
+        (fun (name, field) ->
+          Alcotest.(check bool) (name ^ " is non-zero") true (field blocking > 0.0);
+          Alcotest.(check (float 0.0)) name (field blocking +. field db) (Metrics.total name))
+        sim_totals;
+      Metrics.disable reg;
+      Metrics.reset reg;
+      ignore (measured_matmul ~double_buffer:false);
+      Alcotest.(check int) "a disabled registry records no series" 0
+        (List.length (Metrics.snapshot ())))
+
 let tests =
   [
     Alcotest.test_case "registry basics" `Quick test_registry_basics;
@@ -291,4 +334,6 @@ let tests =
     Alcotest.test_case "benchdiff artifact round-trip" `Quick
       test_benchdiff_artifact_roundtrip;
     Alcotest.test_case "derived bench metrics" `Quick test_derived_bench_metrics;
+    Alcotest.test_case "sim totals fold the measured counters" `Quick
+      test_sim_totals_fold_counters;
   ]

@@ -220,6 +220,72 @@ let test_dma_overlap_timing () =
   Alcotest.(check (float 0.0)) "words received counted" 4.0
     soc.Soc.counters.Perf_counters.dma_words_received
 
+(* One transfer is accounted the same whichever path carries it: each
+   send path charges one transaction and every staged word, and both
+   receive paths charge one transaction and the drained words. *)
+let test_dma_accounting_equal_across_paths () =
+  let tile = Array.init 4 (fun i -> Axi_word.Data (float_of_int (i + 1))) in
+  let words =
+    Array.concat
+      [
+        [| Axi_word.Inst Isa.mm_load_a |];
+        tile;
+        [| Axi_word.Inst Isa.mm_load_b |];
+        tile;
+        [| Axi_word.Inst Isa.mm_compute; Axi_word.Inst Isa.mm_drain |];
+      ]
+  in
+  let len = float_of_int (Array.length words) in
+  let sent send =
+    let soc, engine = make_soc_with_v3 () in
+    Array.iteri (fun i w -> Dma_engine.stage engine ~offset:i w) words;
+    send engine;
+    (soc.Soc.counters, engine)
+  in
+  let sends =
+    [
+      ("send_staged", Dma_engine.send_staged);
+      ("send_staged_async", Dma_engine.send_staged_async);
+      ( "send token",
+        fun e -> ignore (Dma_engine.wait_token e (Dma_engine.start_send_token e)) );
+    ]
+  in
+  let busy =
+    List.map
+      (fun (name, send) ->
+        let c, _ = sent send in
+        Alcotest.(check (float 0.0)) (name ^ ": one transaction") 1.0
+          c.Perf_counters.dma_transactions;
+        Alcotest.(check (float 0.0)) (name ^ ": every word sent") len
+          c.Perf_counters.dma_words_sent;
+        c.Perf_counters.accel_busy_cycles)
+      sends
+  in
+  Alcotest.(check bool) "device busy counted" true (List.hd busy > 0.0);
+  List.iter2
+    (fun (name, _) b ->
+      Alcotest.(check (float 0.0)) (name ^ ": same accel busy cycles") (List.hd busy) b)
+    sends busy;
+  let received recv =
+    let c, engine = sent Dma_engine.send_staged in
+    let before = Perf_counters.copy c in
+    let data = recv engine in
+    let d = Perf_counters.diff c before in
+    Alcotest.(check (float 0.0)) "recv: one transaction" 1.0
+      d.Perf_counters.dma_transactions;
+    Alcotest.(check (float 0.0)) "recv: four words" 4.0 d.Perf_counters.dma_words_received;
+    data
+  in
+  let blocking =
+    received (fun e ->
+        Dma_engine.start_recv e ~len_words:4;
+        Dma_engine.wait_recv e)
+  in
+  let token =
+    received (fun e -> Dma_engine.wait_token e (Dma_engine.start_recv_token e ~len_words:4))
+  in
+  Alcotest.(check (array (float 0.0))) "same data on both receive paths" blocking token
+
 let test_soc_event_costs () =
   let soc = Soc.create () in
   let c = soc.Soc.counters in
@@ -335,6 +401,8 @@ let tests =
     Alcotest.test_case "dma staging" `Quick test_dma_engine_staging;
     Alcotest.test_case "dma protocol errors" `Quick test_dma_engine_protocol;
     Alcotest.test_case "dma/device overlap" `Quick test_dma_overlap_timing;
+    Alcotest.test_case "dma accounting equal across paths" `Quick
+      test_dma_accounting_equal_across_paths;
     Alcotest.test_case "soc event costs" `Quick test_soc_event_costs;
     Alcotest.test_case "soc reset preserves memory" `Quick test_soc_reset_run_state;
     QCheck_alcotest.to_alcotest prop_lru_eviction_order;
