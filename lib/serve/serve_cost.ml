@@ -6,6 +6,7 @@
 
 type t = {
   oc_accel : Accel_config.t;  (** the matmul engine this oracle costs with *)
+  oc_fingerprint : string;  (** of [oc_accel]; fixed per oracle *)
   oc_models : (string * Tune_workload.named list) list;
   oc_graphs : (string * Graph_ir.t) list;
   oc_graph_residency : bool;
@@ -33,12 +34,21 @@ let models_of_specs ?(rows = 2) ?(seq = 128) specs =
   | [] -> Error "at least one workload spec is required"
   | _ -> go [] specs
 
+(* Engine-config fingerprints ({!Benchdiff.config_hash} over the
+   canonical config JSON): part of every memo key, so a memoised cycle
+   count can never be served for a measurement taken under a different
+   accelerator configuration. Hashed once per engine, not per lookup. *)
+let fingerprint_of config = Benchdiff.config_hash (Accel_config.to_json config)
+
 let create ?matmul_accel ?(graphs = []) ?(graph_residency = true) models =
+  let accel =
+    match matmul_accel with
+    | Some a -> a
+    | None -> Presets.matmul ~version:Accel_matmul.V4 ~size:16 ()
+  in
   {
-    oc_accel =
-      (match matmul_accel with
-      | Some a -> a
-      | None -> Presets.matmul ~version:Accel_matmul.V4 ~size:16 ());
+    oc_accel = accel;
+    oc_fingerprint = fingerprint_of accel;
     oc_models = models;
     oc_graphs = graphs;
     oc_graph_residency = graph_residency;
@@ -59,18 +69,12 @@ let layers t model =
       (Printf.sprintf "serving oracle: unknown model %S (models: %s)" model
          (String.concat ", " (models t)))
 
-(* Engine-config fingerprints ({!Benchdiff.config_hash} over the
-   canonical config JSON): part of every memo key, so a memoised cycle
-   count can never be served for a measurement taken under a different
-   accelerator configuration. *)
-let fingerprint_of config = Benchdiff.config_hash (Accel_config.to_json config)
-
 let conv_fingerprint =
   lazy (fingerprint_of (Presets.conv ~flow:"Os" ()))
 
 let fingerprint t (w : Tune_workload.t) =
   match w with
-  | Tune_workload.Matmul _ -> fingerprint_of t.oc_accel
+  | Tune_workload.Matmul _ -> t.oc_fingerprint
   | Tune_workload.Conv _ -> Lazy.force conv_fingerprint
 
 (* Canonical-shape memo key: engine fingerprint + the workload's

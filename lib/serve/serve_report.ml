@@ -9,24 +9,27 @@ type dist = {
   d_max : float;
 }
 
-(* Nearest-rank percentile: the ceil(p/100 * n)-th smallest sample. *)
-let percentile p xs =
-  match List.sort compare xs with
-  | [] -> 0.0
-  | sorted ->
-    let n = List.length sorted in
+(* Nearest-rank percentile of ascending samples: the
+   ceil(p/100 * n)-th smallest. *)
+let nearest_rank p sorted =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else
     let rank = int_of_float (ceil (float_of_int p /. 100.0 *. float_of_int n)) in
-    List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
+let percentile p xs = nearest_rank p (Array.of_list (List.sort compare xs))
 
 let dist_of xs =
   match xs with
   | [] -> { d_mean = 0.0; d_p50 = 0.0; d_p95 = 0.0; d_p99 = 0.0; d_max = 0.0 }
   | _ ->
+    let sorted = Array.of_list (List.sort compare xs) in
     {
-      d_mean = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs);
-      d_p50 = percentile 50 xs;
-      d_p95 = percentile 95 xs;
-      d_p99 = percentile 99 xs;
+      d_mean = List.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length sorted);
+      d_p50 = nearest_rank 50 sorted;
+      d_p95 = nearest_rank 95 sorted;
+      d_p99 = nearest_rank 99 sorted;
       d_max = List.fold_left Float.max neg_infinity xs;
     }
 

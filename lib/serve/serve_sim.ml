@@ -49,84 +49,44 @@ let validate p =
 
 exception Bad_service of string
 
-(* Policy selection over the queue (arrival order, all arrived by
-   [now]). Returns the picked requests in arrival order.
+module Ints = Set.Make (Int)
+module Finishes = Map.Make (Float)
 
-   Batch sizing: a dispatch never coalesces more predicted work than
-   an even share of the backlog's predicted total (sum of [predict]
-   over the queue, divided by K). Under saturating load the share
-   covers many requests and full [sp_batch_max] batches form; when the
-   stream drains, the cap shrinks the lumps so the last dispatches
-   spread across the accelerators instead of parking the whole tail on
-   one — batching must never lose the makespan to load imbalance it
-   created itself. *)
-let pick p ~predict queue =
-  match p.sp_policy with
-  | Serve_policy.Fifo -> [ List.hd queue ]
-  | Serve_policy.Sjf ->
-    let key (r : Serve_request.t) = (predict r.Serve_request.rq_model, r.rq_id) in
-    let best =
-      List.fold_left
-        (fun acc r -> if key r < key acc then r else acc)
-        (List.hd queue) (List.tl queue)
-    in
-    [ best ]
-  | Serve_policy.Batch ->
-    (* the model with the most ready requests wins; ties go to the one
-       whose earliest request arrived first (lowest id) *)
-    let tally =
-      List.fold_left
-        (fun acc (r : Serve_request.t) ->
-          let model = r.Serve_request.rq_model in
-          let count, first_id =
-            match List.assoc_opt model acc with
-            | Some (c, f) -> (c + 1, f)
-            | None -> (1, r.rq_id)
-          in
-          (model, (count, first_id)) :: List.remove_assoc model acc)
-        [] queue
-    in
-    let chosen, _ =
-      List.fold_left
-        (fun (bm, (bc, bf)) (model, (c, f)) ->
-          if c > bc || (c = bc && f < bf) then (model, (c, f)) else (bm, (bc, bf)))
-        (List.hd tally) (List.tl tally)
-    in
-    let members =
-      List.filter (fun (r : Serve_request.t) -> r.Serve_request.rq_model = chosen) queue
-    in
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
-    let queue_work =
-      List.fold_left
-        (fun acc (r : Serve_request.t) -> acc +. predict r.Serve_request.rq_model)
-        0.0 queue
-    in
-    let per_request = predict chosen in
-    let fair_count =
-      if per_request > 0.0 then
-        int_of_float (floor (queue_work /. float_of_int p.sp_accels /. per_request))
-      else p.sp_batch_max
-    in
-    take (max 1 (min p.sp_batch_max fair_count)) members
-
+(* The queue is indexed by arrival rank (position in the sorted
+   arrivals): a global rank set (Fifo head, decision time, the exact
+   fair-share fold), per model a rank set and a count (the Batch cohort)
+   and an id set (the Sjf candidate). Every pick equals an arrival-order
+   scan over the whole queue (the reference in test/suite_serve.ml) at
+   O(models · log n): ids are unique, so each policy's order has one
+   minimum. *)
 let run ?telemetry ?service_at ?predict_at ~service ~predict p
     (requests : Serve_request.t list) =
-  match validate p with
-  | Error _ as e -> e
-  | Ok () -> (
+  let arr =
+    Array.of_list
+      (List.stable_sort
+         (fun (a : Serve_request.t) (b : Serve_request.t) ->
+           compare (a.Serve_request.rq_arrival, a.rq_id) (b.rq_arrival, b.rq_id))
+         requests)
+  in
+  let n = Array.length arr in
+  let rank_of_id = Hashtbl.create n in
+  let duplicate = ref None in
+  Array.iteri
+    (fun rank (r : Serve_request.t) ->
+      if not (Hashtbl.mem rank_of_id r.Serve_request.rq_id) then
+        Hashtbl.add rank_of_id r.rq_id rank
+      else if !duplicate = None then duplicate := Some r.rq_id)
+    arr;
+  match (validate p, !duplicate) with
+  | (Error _ as e), _ -> e
+  | Ok (), Some id -> Error (Printf.sprintf "duplicate request id %d" id)
+  | Ok (), None -> (
     (* Heterogeneity hooks: the accelerator index is known (earliest
        free) before the policy picks, so a per-instance oracle slots in
        at the dispatch site. Absent overrides fall back to the uniform
        oracles — the homogeneous path runs the exact same code. *)
     let service_for idx =
       match service_at with None -> service | Some f -> f ~accel:idx
-    in
-    let predict_for idx =
-      match predict_at with None -> predict | Some f -> f ~accel:idx
     in
     (* Zero-cost when disabled: one match on an immediate per hook site,
        exactly the Trace/Metrics discipline. Recording never feeds back
@@ -140,43 +100,165 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
     let busy = Array.make p.sp_accels 0.0 in
     let dispatches = Array.make p.sp_accels 0 in
     let served = Array.make p.sp_accels 0 in
-    let arrivals =
-      ref
-        (List.stable_sort
-           (fun (a : Serve_request.t) (b : Serve_request.t) ->
-             compare (a.Serve_request.rq_arrival, a.rq_id) (b.rq_arrival, b.rq_id))
-           requests)
+    (* models by first arrival; [mid.(rank)] is the request's model *)
+    let model_ix = Hashtbl.create 8 in
+    let mid =
+      Array.map
+        (fun (r : Serve_request.t) ->
+          match Hashtbl.find_opt model_ix r.Serve_request.rq_model with
+          | Some m -> m
+          | None ->
+            let m = Hashtbl.length model_ix in
+            Hashtbl.add model_ix r.rq_model m;
+            m)
+        arr
     in
-    let queue = ref [] in
+    let models = Hashtbl.length model_ix in
+    let names = Array.make models "" in
+    Hashtbl.iter (fun name m -> names.(m) <- name) model_ix;
+    (* one prediction per (instance, model) and run, on first use *)
+    let preds =
+      Array.make_matrix
+        (match predict_at with None -> 1 | Some _ -> p.sp_accels)
+        models None
+    in
+    let pred idx m =
+      let row = preds.(match predict_at with None -> 0 | Some _ -> idx) in
+      match row.(m) with
+      | Some v -> v
+      | None ->
+        let v =
+          match predict_at with
+          | None -> predict names.(m)
+          | Some f -> f ~accel:idx names.(m)
+        in
+        row.(m) <- Some v;
+        v
+    in
+    let next = ref 0 in
+    let queued = ref Ints.empty in
+    let qlen = ref 0 in
+    let by_rank = Array.make models Ints.empty in
+    let by_id = Array.make models Ints.empty in
+    let count = Array.make models 0 in
+    (* add rank [r] to, or remove it from, every queue index *)
+    let index ~add r =
+      let m = mid.(r) and step = if add then Ints.add else Ints.remove in
+      let d = if add then 1 else -1 in
+      queued := step r !queued;
+      qlen := !qlen + d;
+      by_rank.(m) <- step r by_rank.(m);
+      by_id.(m) <- step arr.(r).Serve_request.rq_id by_id.(m);
+      count.(m) <- count.(m) + d
+    in
     let completed = ref [] in
     let rejected = ref [] in
-    (* finish times of dispatched requests, for the in-flight count *)
-    let finishes = ref [] in
+    (* finish time -> dispatched requests finishing then, for the
+       in-flight count. Query times never decrease ([admit_up_to now]
+       admits every arrival <= [now], and [now] only grows) and every
+       finish lies at or after the [now] it was scheduled at, so a
+       finish <= the query time is dropped for good. *)
+    let finishes = ref Finishes.empty in
+    let running_after = ref 0 in
     let in_flight_at t =
-      List.length !queue + List.length (List.filter (fun f -> f > t) !finishes)
-    in
-    let admit_up_to now =
-      let rec go () =
-        match !arrivals with
-        | (a : Serve_request.t) :: rest when a.Serve_request.rq_arrival <= now ->
-          arrivals := rest;
-          tel (fun tlm -> Serve_telemetry.on_arrival tlm ~at:a.rq_arrival);
-          let admitted =
-            match p.sp_queue_cap with
-            | None -> true
-            | Some cap -> in_flight_at a.rq_arrival < cap
-          in
-          if admitted then queue := !queue @ [ a ]
-          else begin
-            rejected :=
-              { rj_id = a.rq_id; rj_model = a.rq_model; rj_arrival = a.rq_arrival }
-              :: !rejected;
-            tel (fun tlm -> Serve_telemetry.on_reject tlm ~at:a.rq_arrival)
-          end;
-          go ()
+      let rec drop () =
+        match Finishes.min_binding_opt !finishes with
+        | Some (f, c) when f <= t ->
+          finishes := Finishes.remove f !finishes;
+          running_after := !running_after - c;
+          drop ()
         | _ -> ()
       in
-      go ()
+      drop ();
+      !qlen + !running_after
+    in
+    let admit_up_to now =
+      while !next < n && arr.(!next).Serve_request.rq_arrival <= now do
+        let a = arr.(!next) in
+        tel (fun tlm -> Serve_telemetry.on_arrival tlm ~at:a.rq_arrival);
+        let admitted =
+          match p.sp_queue_cap with
+          | None -> true
+          | Some cap -> in_flight_at a.rq_arrival < cap
+        in
+        if admitted then index ~add:true !next
+        else begin
+          rejected :=
+            { rj_id = a.rq_id; rj_model = a.rq_model; rj_arrival = a.rq_arrival }
+            :: !rejected;
+          tel (fun tlm -> Serve_telemetry.on_reject tlm ~at:a.rq_arrival)
+        end;
+        incr next
+      done
+    in
+    (* Batch sizing: a dispatch never coalesces more predicted work than
+       an even share of the backlog's predicted total (sum of [predict]
+       over the queue, divided by K). Under saturating load the share
+       covers many requests and full [sp_batch_max] batches form; when
+       the stream drains, the cap shrinks the lumps so the last
+       dispatches spread across the accelerators instead of parking the
+       whole tail on one — batching must never lose the makespan to
+       load imbalance it created itself.
+
+       The backlog total is defined as the arrival-order left fold. The
+       per-model sum [count_m * p_m] stands in for it only when its
+       share clears [sp_batch_max] by more than the rounding of either
+       sum. With positive finite terms each sum is within a relative
+       [(qlen + models) * u] of the exact total ([u = epsilon_float /
+       2], one rounding per addition or product) and the two divisions
+       add [2u] on each side; the slack is twice that bound, so both
+       floors reach the cap. [x < 2^52] keeps the fold's quotient well
+       inside the int range. Otherwise the fold runs. *)
+    let fair_count idx per_request =
+      let share work = work /. float_of_int p.sp_accels /. per_request in
+      let positive = ref true and by_model = ref 0.0 in
+      for m = 0 to models - 1 do
+        if count.(m) > 0 then begin
+          let pm = pred idx m in
+          if not (pm > 0.0 && pm < infinity) then positive := false;
+          by_model := !by_model +. (float_of_int count.(m) *. pm)
+        end
+      done;
+      let x = share !by_model in
+      let slack = float_of_int (!qlen + models + 4) *. epsilon_float in
+      if !positive && x < 0x1p52 && x *. (1.0 -. slack) >= float_of_int p.sp_batch_max
+      then p.sp_batch_max
+      else
+        int_of_float
+          (floor (share (Ints.fold (fun r acc -> acc +. pred idx mid.(r)) !queued 0.0)))
+    in
+    (* Policy selection; returns the picked ranks in arrival order. *)
+    let pick idx =
+      let head = Ints.min_elt !queued in
+      match p.sp_policy with
+      | Serve_policy.Fifo -> [ head ]
+      | Serve_policy.Sjf ->
+        (* least (prediction, id); starting from the head keeps a
+           NaN-predicted head in place, as a [<] scan would *)
+        let key r = (pred idx mid.(r), arr.(r).Serve_request.rq_id) in
+        let best = ref head in
+        for m = 0 to models - 1 do
+          if count.(m) > 0 then begin
+            let r = Hashtbl.find rank_of_id (Ints.min_elt by_id.(m)) in
+            if key r < key !best then best := r
+          end
+        done;
+        [ !best ]
+      | Serve_policy.Batch ->
+        (* the model with the most ready requests wins; ties go to the
+           one whose earliest request arrived first (lowest id) *)
+        let first_id m = arr.(Ints.min_elt by_rank.(m)).Serve_request.rq_id in
+        let chosen = ref mid.(head) in
+        for m = 0 to models - 1 do
+          let c = count.(m) and bc = count.(!chosen) in
+          if c > bc || (c = bc && first_id m < first_id !chosen) then chosen := m
+        done;
+        let per_request = pred idx !chosen in
+        let fair =
+          if per_request > 0.0 then fair_count idx per_request else p.sp_batch_max
+        in
+        List.of_seq
+          (Seq.take (max 1 (min p.sp_batch_max fair)) (Ints.to_seq by_rank.(!chosen)))
     in
     let earliest_free () =
       let best = ref 0 in
@@ -190,35 +272,29 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
     let running = ref true in
     match
       while !running do
-        if !queue = [] then begin
-          match !arrivals with
-          | [] -> running := false
-          | (a : Serve_request.t) :: _ ->
-            now := Float.max !now a.Serve_request.rq_arrival;
+        if !qlen = 0 then begin
+          if !next >= n then running := false
+          else begin
+            now := Float.max !now arr.(!next).Serve_request.rq_arrival;
             admit_up_to !now
+          end
         end
         else begin
           let idx = earliest_free () in
-          (* the queue is in arrival order, so its head carries the
-             earliest arrival: the accelerator can start then at the
-             earliest. Requests arriving before that decision time are
-             admitted first so the policy sees them. *)
+          (* the queue head carries the earliest arrival: the
+             accelerator can start then at the earliest. Requests
+             arriving before that decision time are admitted first so
+             the policy sees them. *)
           let t_d =
             Float.max
               (Timeline.busy_until agents.(idx))
-              (List.hd !queue).Serve_request.rq_arrival
+              arr.(Ints.min_elt !queued).Serve_request.rq_arrival
           in
           now := Float.max !now t_d;
           admit_up_to !now;
-          let batch = pick p ~predict:(predict_for idx) !queue in
-          queue :=
-            List.filter
-              (fun (r : Serve_request.t) ->
-                not
-                  (List.exists
-                     (fun (m : Serve_request.t) -> m.Serve_request.rq_id = r.rq_id)
-                     batch))
-              !queue;
+          let ranks = pick idx in
+          List.iter (index ~add:false) ranks;
+          let batch = List.map (fun r -> arr.(r)) ranks in
           let model = (List.hd batch).Serve_request.rq_model in
           let b = List.length batch in
           let dur = service_for idx model ~batch:b in
@@ -236,9 +312,13 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
           busy.(idx) <- busy.(idx) +. dur;
           dispatches.(idx) <- dispatches.(idx) + 1;
           served.(idx) <- served.(idx) + b;
+          finishes :=
+            Finishes.update finish
+              (fun c -> Some (b + Option.value c ~default:0))
+              !finishes;
+          running_after := !running_after + b;
           List.iter
             (fun (r : Serve_request.t) ->
-              finishes := finish :: !finishes;
               completed :=
                 {
                   rs_id = r.Serve_request.rq_id;
@@ -255,7 +335,7 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
               (* queue depth after removal, in-flight including the
                  batch just scheduled (its finish is in the future) *)
               Serve_telemetry.on_dispatch tlm ~at:!now ~accel:idx ~start ~finish
-                ~queue:(List.length !queue) ~in_flight:(in_flight_at !now);
+                ~queue:!qlen ~in_flight:(in_flight_at !now);
               List.iter
                 (fun (r : Serve_request.t) ->
                   Serve_telemetry.on_complete tlm ~finish

@@ -99,4 +99,20 @@ val run :
     ({!Serve_telemetry}); when absent each hook site is one match on
     an immediate — the zero-cost-when-disabled discipline of
     {!Trace}/{!Metrics}. Recording never influences scheduling, so an
-    observed run's outcome is bit-identical to an unobserved one. *)
+    observed run's outcome is bit-identical to an unobserved one.
+
+    [predict] and [predict_at] must be pure: a run asks each for a
+    model's prediction at most once per (instance, model) — once per
+    model when [predict_at] is absent — and reuses the answer. Each
+    dispatch makes exactly one [service]/[service_at] call.
+
+    Cost: O((requests + dispatches) · models · log requests) host time.
+    The queue is indexed by arrival rank (an ordered set overall, and
+    per model a rank set, an id set and a count), so no pick rescans
+    the queue. The one exception is [Batch]'s fair-share total, which
+    falls back to the arrival-order fold over the queue when the
+    per-model sum is too close to the batch limit for rounding to be
+    ruled out (a short queue, in practice).
+
+    [Error "duplicate request id N"] when two requests share an id:
+    outcomes are keyed by id. *)

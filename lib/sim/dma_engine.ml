@@ -154,13 +154,17 @@ let occupy_device t ~arrival accel_cycles =
   t.ready_at <- start +. Cost_model.accel_to_cpu_cycles t.cost accel_cycles;
   note_accel_busy t ~accel_cycles ~start ~until:t.ready_at
 
+(* A blocking transfer step's span; its argument list is built only
+   when tracing, so untraced runs allocate nothing here. *)
+let begin_transfer_span t ~cat ~len name =
+  if Trace.enabled t.tracer then
+    Trace.begin_span t.tracer ~cat ~args:[ ("len_words", Trace.Int len) ] name
+
 let start_send t ~offset ~len_words =
   if t.pending_send <> None then failwith "DMA engine: send already in flight";
   if offset < 0 || offset + len_words > Array.length t.in_region then
     failwith "DMA engine: send range exceeds input region";
-  Trace.begin_span t.tracer ~cat:"dma_send"
-    ~args:[ ("len_words", Trace.Int len_words) ]
-    "program_send";
+  begin_transfer_span t ~cat:"dma_send" ~len:len_words "program_send";
   charge_program t ~label:"program_send";
   Trace.end_span t.tracer;
   t.pending_send <- Some (offset, len_words)
@@ -170,9 +174,7 @@ let wait_send t =
   | None -> failwith "DMA engine: wait_send without a pending send"
   | Some (offset, len) ->
     t.pending_send <- None;
-    Trace.begin_span t.tracer ~cat:"dma_send"
-      ~args:[ ("len_words", Trace.Int len) ]
-      "wait_send";
+    begin_transfer_span t ~cat:"dma_send" ~len "wait_send";
     charge_blocking_transfer t ~len "host_send";
     let accel_cycles = stream_to_device t ~lo:offset ~len in
     occupy_device t ~arrival:t.counters.cycles accel_cycles;
@@ -196,9 +198,10 @@ let sync_sends t =
 let send_staged_async t =
   let len = t.high_water in
   if len > 0 then begin
-    Trace.begin_span t.tracer ~cat:"dma_send"
-      ~args:[ ("len_words", Trace.Int len); ("async", Trace.Bool true) ]
-      "send_async";
+    if Trace.enabled t.tracer then
+      Trace.begin_span t.tracer ~cat:"dma_send"
+        ~args:[ ("len_words", Trace.Int len); ("async", Trace.Bool true) ]
+        "send_async";
     (* only two buffer halves: wait out any transfer still in flight *)
     sync_sends t;
     charge_program t ~label:"program_send";
@@ -214,9 +217,7 @@ let send_staged_async t =
 let start_recv t ~len_words =
   if t.pending_recv <> None then failwith "DMA engine: recv already in flight";
   if len_words > t.out_capacity then failwith "DMA engine: recv exceeds output region";
-  Trace.begin_span t.tracer ~cat:"dma_recv"
-    ~args:[ ("len_words", Trace.Int len_words) ]
-    "program_recv";
+  begin_transfer_span t ~cat:"dma_recv" ~len:len_words "program_recv";
   charge_program t ~label:"program_recv";
   Trace.end_span t.tracer;
   t.pending_recv <- Some len_words
@@ -226,9 +227,7 @@ let wait_recv t =
   | None -> failwith "DMA engine: wait_recv without a pending recv"
   | Some len ->
     t.pending_recv <- None;
-    Trace.begin_span t.tracer ~cat:"dma_recv"
-      ~args:[ ("len_words", Trace.Int len) ]
-      "wait_recv";
+    begin_transfer_span t ~cat:"dma_recv" ~len "wait_recv";
     (* A blocking receive stalls to [ready_at], which dominates every
        queued completion, so it consumes the whole FIFO; pure-blocking
        runs are untouched — the queue is empty there. *)

@@ -368,7 +368,25 @@ let test_serve_structured_errors () =
          sp_batch_max = 1;
        }
        requests)
-    "service cycles must be positive"
+    "service cycles must be positive";
+  (* a shared id would make two requests indistinguishable in the
+     outcome, so the stream is refused rather than served *)
+  expect_error "duplicate request id"
+    (Serve_sim.run
+       ~service:(fun _ ~batch:_ -> 1.0)
+       ~predict:(fun _ -> 1.0)
+       {
+         Serve_sim.sp_accels = 1;
+         sp_policy = Serve_policy.Batch;
+         sp_queue_cap = None;
+         sp_batch_max = 2;
+       }
+       (requests
+       @ [
+           { Serve_request.rq_id = 1; rq_arrival = 1.0; rq_model = "m" };
+           { Serve_request.rq_id = 0; rq_arrival = 2.0; rq_model = "m" };
+         ]))
+    "duplicate request id 0"
 
 let test_slo_telemetry_structured_errors () =
   (* every malformed --slo spec must come back as a grammar-citing

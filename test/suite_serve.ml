@@ -436,11 +436,388 @@ let prop_fifo_order =
              increasing mine))
 
 (* ------------------------------------------------------------------ *)
+(* Differential: the indexed scheduler against the list scheduler      *)
+(* ------------------------------------------------------------------ *)
+
+(* The original list-based event loop, kept verbatim as the reference
+   the indexed [Serve_sim.run] must reproduce bit for bit: every pick
+   rescans the whole queue in arrival order and calls [predict] on each
+   queued request. *)
+module List_scheduler = struct
+  open Serve_sim
+
+  exception Bad_service of string
+
+  let pick p ~predict queue =
+    match p.sp_policy with
+    | Serve_policy.Fifo -> [ List.hd queue ]
+    | Serve_policy.Sjf ->
+      let key (r : Serve_request.t) = (predict r.Serve_request.rq_model, r.rq_id) in
+      let best =
+        List.fold_left
+          (fun acc r -> if key r < key acc then r else acc)
+          (List.hd queue) (List.tl queue)
+      in
+      [ best ]
+    | Serve_policy.Batch ->
+      let tally =
+        List.fold_left
+          (fun acc (r : Serve_request.t) ->
+            let model = r.Serve_request.rq_model in
+            let count, first_id =
+              match List.assoc_opt model acc with
+              | Some (c, f) -> (c + 1, f)
+              | None -> (1, r.rq_id)
+            in
+            (model, (count, first_id)) :: List.remove_assoc model acc)
+          [] queue
+      in
+      let chosen, _ =
+        List.fold_left
+          (fun (bm, (bc, bf)) (model, (c, f)) ->
+            if c > bc || (c = bc && f < bf) then (model, (c, f)) else (bm, (bc, bf)))
+          (List.hd tally) (List.tl tally)
+      in
+      let members =
+        List.filter (fun (r : Serve_request.t) -> r.Serve_request.rq_model = chosen) queue
+      in
+      let rec take n = function
+        | [] -> []
+        | _ when n = 0 -> []
+        | x :: rest -> x :: take (n - 1) rest
+      in
+      let queue_work =
+        List.fold_left
+          (fun acc (r : Serve_request.t) -> acc +. predict r.Serve_request.rq_model)
+          0.0 queue
+      in
+      let per_request = predict chosen in
+      let fair_count =
+        if per_request > 0.0 then
+          int_of_float (floor (queue_work /. float_of_int p.sp_accels /. per_request))
+        else p.sp_batch_max
+      in
+      take (max 1 (min p.sp_batch_max fair_count)) members
+
+  let run ?telemetry ?service_at ?predict_at ~service ~predict p
+      (requests : Serve_request.t list) =
+    match validate p with
+    | Error _ as e -> e
+    | Ok () -> (
+      let service_for idx =
+        match service_at with None -> service | Some f -> f ~accel:idx
+      in
+      let predict_for idx =
+        match predict_at with None -> predict | Some f -> f ~accel:idx
+      in
+      let tel f = match telemetry with None -> () | Some tlm -> f tlm in
+      let tl = Timeline.create () in
+      let agents =
+        Array.init p.sp_accels (fun i ->
+            Timeline.add_agent tl ~name:(Printf.sprintf "accel%d" i))
+      in
+      let busy = Array.make p.sp_accels 0.0 in
+      let dispatches = Array.make p.sp_accels 0 in
+      let served = Array.make p.sp_accels 0 in
+      let arrivals =
+        ref
+          (List.stable_sort
+             (fun (a : Serve_request.t) (b : Serve_request.t) ->
+               compare (a.Serve_request.rq_arrival, a.rq_id) (b.rq_arrival, b.rq_id))
+             requests)
+      in
+      let queue = ref [] in
+      let completed = ref [] in
+      let rejected = ref [] in
+      let finishes = ref [] in
+      let in_flight_at t =
+        List.length !queue + List.length (List.filter (fun f -> f > t) !finishes)
+      in
+      let admit_up_to now =
+        let rec go () =
+          match !arrivals with
+          | (a : Serve_request.t) :: rest when a.Serve_request.rq_arrival <= now ->
+            arrivals := rest;
+            tel (fun tlm -> Serve_telemetry.on_arrival tlm ~at:a.rq_arrival);
+            let admitted =
+              match p.sp_queue_cap with
+              | None -> true
+              | Some cap -> in_flight_at a.rq_arrival < cap
+            in
+            if admitted then queue := !queue @ [ a ]
+            else begin
+              rejected :=
+                { rj_id = a.rq_id; rj_model = a.rq_model; rj_arrival = a.rq_arrival }
+                :: !rejected;
+              tel (fun tlm -> Serve_telemetry.on_reject tlm ~at:a.rq_arrival)
+            end;
+            go ()
+          | _ -> ()
+        in
+        go ()
+      in
+      let earliest_free () =
+        let best = ref 0 in
+        for i = 1 to p.sp_accels - 1 do
+          if Timeline.busy_until agents.(i) < Timeline.busy_until agents.(!best) then
+            best := i
+        done;
+        !best
+      in
+      let now = ref 0.0 in
+      let running = ref true in
+      match
+        while !running do
+          if !queue = [] then begin
+            match !arrivals with
+            | [] -> running := false
+            | (a : Serve_request.t) :: _ ->
+              now := Float.max !now a.Serve_request.rq_arrival;
+              admit_up_to !now
+          end
+          else begin
+            let idx = earliest_free () in
+            let t_d =
+              Float.max
+                (Timeline.busy_until agents.(idx))
+                (List.hd !queue).Serve_request.rq_arrival
+            in
+            now := Float.max !now t_d;
+            admit_up_to !now;
+            let batch = pick p ~predict:(predict_for idx) !queue in
+            queue :=
+              List.filter
+                (fun (r : Serve_request.t) ->
+                  not
+                    (List.exists
+                       (fun (m : Serve_request.t) -> m.Serve_request.rq_id = r.rq_id)
+                       batch))
+                !queue;
+            let model = (List.hd batch).Serve_request.rq_model in
+            let b = List.length batch in
+            let dur = service_for idx model ~batch:b in
+            if not (dur > 0.0) then
+              raise
+                (Bad_service
+                   (Printf.sprintf "service cycles must be positive (%s, batch %d: %g)"
+                      model b dur));
+            let finish =
+              Timeline.schedule tl agents.(idx) ~not_before:!now ~duration:dur
+                ~label:(Printf.sprintf "%s x%d" model b)
+                ()
+            in
+            let start = finish -. dur in
+            busy.(idx) <- busy.(idx) +. dur;
+            dispatches.(idx) <- dispatches.(idx) + 1;
+            served.(idx) <- served.(idx) + b;
+            List.iter
+              (fun (r : Serve_request.t) ->
+                finishes := finish :: !finishes;
+                completed :=
+                  {
+                    rs_id = r.Serve_request.rq_id;
+                    rs_model = r.rq_model;
+                    rs_arrival = r.rq_arrival;
+                    rs_accel = idx;
+                    rs_batch = b;
+                    rs_start = start;
+                    rs_finish = finish;
+                  }
+                  :: !completed)
+              batch;
+            tel (fun tlm ->
+                Serve_telemetry.on_dispatch tlm ~at:!now ~accel:idx ~start ~finish
+                  ~queue:(List.length !queue) ~in_flight:(in_flight_at !now);
+                List.iter
+                  (fun (r : Serve_request.t) ->
+                    Serve_telemetry.on_complete tlm ~finish
+                      ~latency:(finish -. r.Serve_request.rq_arrival))
+                  batch)
+          end
+        done
+      with
+      | () ->
+        let by_id f g = compare (f : int) g in
+        Ok
+          {
+            oc_completed = List.sort (fun a b -> by_id a.rs_id b.rs_id) !completed;
+            oc_rejected = List.sort (fun a b -> by_id a.rj_id b.rj_id) !rejected;
+            oc_accels =
+              List.init p.sp_accels (fun i ->
+                  {
+                    ac_id = i;
+                    ac_busy = busy.(i);
+                    ac_dispatches = dispatches.(i);
+                    ac_requests = served.(i);
+                  });
+            oc_makespan = Timeline.makespan tl;
+            oc_dispatches = Array.fold_left ( + ) 0 dispatches;
+          }
+      | exception Bad_service msg -> Error msg)
+end
+
+(* A random scheduling case from one seed: ties in arrival time, ids
+   shuffled against arrival order, 1-4 models whose predictions may be
+   zero, negative or NaN, heterogeneous per-instance oracles, optional
+   queue cap and telemetry. *)
+let differential_case seed =
+  let rng = Fuzz_rng.derive ~seed ~index:1 in
+  let count = Fuzz_rng.int_range rng 0 80 in
+  let n_models = Fuzz_rng.int_range rng 1 4 in
+  let models = List.filteri (fun i _ -> i < n_models) [ "a"; "b"; "c"; "d" ] in
+  let base =
+    List.map (fun m -> (m, float_of_int (Fuzz_rng.int_range rng 10 500) *. 1.37)) models
+  in
+  let guess =
+    List.map
+      (fun (m, b) ->
+        let v =
+          match Fuzz_rng.int_range rng 1 20 with
+          | 1 -> 0.0
+          | 2 -> -.b
+          | 3 -> Float.nan
+          | 4 | 5 | 6 | 7 | 8 | 9 | 10 ->
+            (* tenths: their sums round differently in different
+               orders, which the fair-share floor can see *)
+            float_of_int (Fuzz_rng.int_range rng 1 5) *. 0.1
+          | _ -> b *. (0.5 +. (float_of_int (Fuzz_rng.int_range rng 0 100) /. 97.0))
+        in
+        (m, v))
+      base
+  in
+  let ids = Array.init count Fun.id in
+  for i = count - 1 downto 1 do
+    let j = Fuzz_rng.int_range rng 0 i in
+    let t = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- t
+  done;
+  let clock = ref 0.0 in
+  let requests =
+    List.init count (fun i ->
+        if not (Fuzz_rng.chance rng 30) then
+          clock := !clock +. (float_of_int (Fuzz_rng.int_range rng 1 300) *. 0.37);
+        rq ids.(i) !clock (Fuzz_rng.pick rng models))
+  in
+  let accels = Fuzz_rng.int_range rng 1 4 in
+  let p =
+    params ~accels
+      ~policy:(Fuzz_rng.pick rng Serve_policy.all)
+      ?queue_cap:
+        (if Fuzz_rng.bool rng then Some (Fuzz_rng.int_range rng 1 12) else None)
+      ~batch_max:(Fuzz_rng.int_range rng 1 4)
+      ()
+  in
+  let service model ~batch =
+    List.assoc model base *. (0.25 +. (0.75 *. float_of_int batch))
+  in
+  let predict model = List.assoc model guess in
+  let speed =
+    Array.init accels (fun _ -> float_of_int (Fuzz_rng.int_range rng 5 20) /. 10.0)
+  in
+  let hetero = Fuzz_rng.bool rng in
+  let service_at =
+    if hetero then Some (fun ~accel m ~batch -> service m ~batch *. speed.(accel))
+    else None
+  in
+  let predict_at =
+    if hetero then Some (fun ~accel m -> predict m *. speed.(accel)) else None
+  in
+  let telemetry = Fuzz_rng.bool rng in
+  (p, requests, service, predict, service_at, predict_at, telemetry)
+
+let prop_indexed_matches_list_scheduler =
+  QCheck.Test.make ~name:"indexed scheduler = list scheduler, bit for bit" ~count:400
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p, requests, service, predict, service_at, predict_at, telemetry =
+        differential_case seed
+      in
+      let observe run =
+        let tlm =
+          if telemetry then
+            Some (ok (Serve_telemetry.create ~window:400.0 ~accels:p.Serve_sim.sp_accels))
+          else None
+        in
+        let o =
+          ok (run ?telemetry:tlm ?service_at ?predict_at ~service ~predict p requests)
+        in
+        (* marshalled without sharing: floats compare bit for bit *)
+        ( Marshal.to_string (o : Serve_sim.outcome) [ Marshal.No_sharing ],
+          Option.map
+            (fun t -> Json.to_string (Serve_telemetry.to_json [ ("run", t, []) ]))
+            tlm )
+      in
+      observe Serve_sim.run = observe List_scheduler.run)
+
+(* Each prediction is asked for once per (instance, model) and run, and
+   each dispatch costs exactly one service call, however long the
+   backlog grows. *)
+let test_oracle_call_counts () =
+  let requests = ok (Serve_request.generate (stream ~count:5000 ~mean_gap:20.0 ())) in
+  let accels = 3 and models = List.length synth_models in
+  List.iter
+    (fun hetero ->
+      List.iter
+        (fun policy ->
+          let predicts = ref 0 and services = ref 0 in
+          let service m ~batch =
+            incr services;
+            synth_service m ~batch
+          in
+          let predict m =
+            incr predicts;
+            synth_predict m
+          in
+          let p = params ~accels ~policy ~batch_max:3 () in
+          let o =
+            ok
+              (if hetero then
+                 Serve_sim.run ~service ~predict
+                   ~service_at:(fun ~accel:_ m ~batch -> service m ~batch)
+                   ~predict_at:(fun ~accel m -> predict m *. float_of_int (accel + 1))
+                   p requests
+               else Serve_sim.run ~service ~predict p requests)
+          in
+          let name =
+            Serve_policy.to_string policy ^ if hetero then " (per instance)" else ""
+          in
+          Alcotest.(check bool)
+            (name ^ ": predict calls <= K x models")
+            true
+            (!predicts <= accels * models);
+          Alcotest.(check int)
+            (name ^ ": one service call per dispatch")
+            o.Serve_sim.oc_dispatches !services)
+        Serve_policy.all)
+    [ false; true ]
+
+(* ------------------------------------------------------------------ *)
 (* Differential checks against the real pipeline                       *)
 (* ------------------------------------------------------------------ *)
 
 let real_oracle () =
   Serve_cost.create (ok (Serve_cost.models_of_specs [ "matmul:16,16,16" ]))
+
+(* A warm memo hit is a hash lookup: the engine fingerprint is hashed
+   once per oracle, not per call. *)
+let test_oracle_warm_hit () =
+  let oracle = real_oracle () in
+  let m = "matmul:16,16,16" in
+  ignore (Serve_cost.service oracle m ~batch:1);
+  ignore (Serve_cost.service oracle m ~batch:1);
+  ignore (Serve_cost.service oracle m ~batch:2);
+  ignore (Serve_cost.predict oracle m);
+  ignore (Serve_cost.predict oracle m);
+  ignore (Serve_cost.service_parts oracle m ~batch:2);
+  Alcotest.(check (pair int int)) "(hits, misses) of a fixed call sequence" (3, 3)
+    (Serve_cost.memo_stats oracle);
+  let before = Gc.minor_words () in
+  ignore (Serve_cost.service oracle m ~batch:1);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm hit allocates < 1000 minor words (%.0f)" words)
+    true (words < 1000.0)
 
 (* a layer the pipeline rejects surfaces as a Failure naming the
    layer and batch, not as a raw pipeline exception *)
@@ -729,6 +1106,10 @@ let tests =
     QCheck_alcotest.to_alcotest prop_determinism;
     QCheck_alcotest.to_alcotest prop_work_conservation;
     QCheck_alcotest.to_alcotest prop_fifo_order;
+    QCheck_alcotest.to_alcotest prop_indexed_matches_list_scheduler;
+    Alcotest.test_case "oracle calls: one predict per model, one service per dispatch"
+      `Quick test_oracle_call_counts;
+    Alcotest.test_case "oracle: warm hit is a hash lookup" `Quick test_oracle_warm_hit;
     Alcotest.test_case "differential: single request = pipeline run" `Quick
       test_single_request_matches_pipeline;
     Alcotest.test_case "differential: batching amortises" `Quick
