@@ -1,12 +1,12 @@
 (* Service-time oracle: model name -> simulated cycles, through the
-   real compile+simulate pipeline, memoised per (engine-config, layer,
-   batch). The matmul engine is configurable so a heterogeneous
-   platform can cost each instance with its own engine; the conv
-   engine is the fixed Sec. IV-D sidecar on every instance. *)
+   real compile+simulate pipeline, memoised per (layer, batch) in a
+   table private to the oracle, whose engines are fixed at [create].
+   The matmul engine is configurable so a heterogeneous platform can
+   cost each instance with its own engine; the conv engine is the fixed
+   Sec. IV-D sidecar on every instance. *)
 
 type t = {
   oc_accel : Accel_config.t;  (** the matmul engine this oracle costs with *)
-  oc_fingerprint : string;  (** of [oc_accel]; fixed per oracle *)
   oc_models : (string * Tune_workload.named list) list;
   oc_graphs : (string * Graph_ir.t) list;
   oc_graph_residency : bool;
@@ -34,21 +34,12 @@ let models_of_specs ?(rows = 2) ?(seq = 128) specs =
   | [] -> Error "at least one workload spec is required"
   | _ -> go [] specs
 
-(* Engine-config fingerprints ({!Benchdiff.config_hash} over the
-   canonical config JSON): part of every memo key, so a memoised cycle
-   count can never be served for a measurement taken under a different
-   accelerator configuration. Hashed once per engine, not per lookup. *)
-let fingerprint_of config = Benchdiff.config_hash (Accel_config.to_json config)
-
 let create ?matmul_accel ?(graphs = []) ?(graph_residency = true) models =
-  let accel =
-    match matmul_accel with
-    | Some a -> a
-    | None -> Presets.matmul ~version:Accel_matmul.V4 ~size:16 ()
-  in
   {
-    oc_accel = accel;
-    oc_fingerprint = fingerprint_of accel;
+    oc_accel =
+      (match matmul_accel with
+      | Some a -> a
+      | None -> Presets.matmul ~version:Accel_matmul.V4 ~size:16 ());
     oc_models = models;
     oc_graphs = graphs;
     oc_graph_residency = graph_residency;
@@ -69,18 +60,12 @@ let layers t model =
       (Printf.sprintf "serving oracle: unknown model %S (models: %s)" model
          (String.concat ", " (models t)))
 
-let conv_fingerprint =
-  lazy (fingerprint_of (Presets.conv ~flow:"Os" ()))
-
-let fingerprint t (w : Tune_workload.t) =
-  match w with
-  | Tune_workload.Matmul _ -> t.oc_fingerprint
-  | Tune_workload.Conv _ -> Lazy.force conv_fingerprint
-
-(* Canonical-shape memo key: engine fingerprint + the workload's
-   canonical dimension list + batch. *)
-let memo_key t (w : Tune_workload.t) ~batch =
-  Printf.sprintf "%s|%s:%s@%d" (fingerprint t w)
+(* Canonical-shape memo key: the engine kind + the workload's
+   canonical dimension list + batch. The memo is per oracle and each
+   engine kind has one fixed configuration in it, so the key needs no
+   configuration fingerprint. *)
+let memo_key (w : Tune_workload.t) ~batch =
+  Printf.sprintf "%s:%s@%d"
     (if Tune_workload.is_conv w then "conv" else "matmul")
     (String.concat "," (List.map string_of_int (Tune_workload.dims w)))
     batch
@@ -149,7 +134,7 @@ let service_parts t model ~batch =
       (fun (cyc, words) (named : Tune_workload.named) ->
         let w = named.Tune_workload.wl_workload in
         let c, dw =
-          memoised t (memo_key t w ~batch) (fun () -> measure_layer t named ~batch)
+          memoised t (memo_key w ~batch) (fun () -> measure_layer t named ~batch)
         in
         (cyc +. c, words +. dw))
       (0.0, 0.0) layers

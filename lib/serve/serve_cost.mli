@@ -67,10 +67,11 @@ val models : t -> string list
 val memo_stats : t -> int * int
 (** [(hits, misses)] of the memo table across {!service} and
     {!predict} calls — also exported as the [serve.oracle_hits] /
-    [serve.oracle_misses] metrics counters. Memo keys carry the
-    engine-config fingerprint ({!Benchdiff.config_hash}) and the
-    workload's canonical dimension list, so results can never leak
-    across configurations or shape aliases. *)
+    [serve.oracle_misses] metrics counters. The memo is per oracle, and
+    an oracle's engines are fixed at {!create}, so results never leak
+    across configurations; keys carry the engine kind, the workload's
+    canonical dimension list and the batch, so shape aliases share one
+    measurement. *)
 
 val service : t -> string -> batch:int -> float
 (** Measured cycles for one invocation of the model serving [batch]

@@ -70,16 +70,21 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
   in
   let n = Array.length arr in
   let rank_of_id = Hashtbl.create n in
-  let duplicate = ref None in
+  (* outcomes are keyed by id, and a NaN or infinite arrival would
+     stall the clock: both are rejected up front *)
+  let invalid = ref None in
+  let flag msg = if !invalid = None then invalid := Some msg in
   Array.iteri
     (fun rank (r : Serve_request.t) ->
-      if not (Hashtbl.mem rank_of_id r.Serve_request.rq_id) then
-        Hashtbl.add rank_of_id r.rq_id rank
-      else if !duplicate = None then duplicate := Some r.rq_id)
+      if not (Float.is_finite r.Serve_request.rq_arrival) then
+        flag (Printf.sprintf "non-finite arrival for request %d" r.rq_id);
+      if Hashtbl.mem rank_of_id r.rq_id then
+        flag (Printf.sprintf "duplicate request id %d" r.rq_id)
+      else Hashtbl.add rank_of_id r.rq_id rank)
     arr;
-  match (validate p, !duplicate) with
+  match (validate p, !invalid) with
   | (Error _ as e), _ -> e
-  | Ok (), Some id -> Error (Printf.sprintf "duplicate request id %d" id)
+  | Ok (), Some msg -> Error msg
   | Ok (), None -> (
     (* Heterogeneity hooks: the accelerator index is known (earliest
        free) before the policy picks, so a per-instance oracle slots in
@@ -200,32 +205,34 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
        whole tail on one — batching must never lose the makespan to
        load imbalance it created itself.
 
-       The backlog total is defined as the arrival-order left fold. The
-       per-model sum [count_m * p_m] stands in for it only when its
-       share clears [sp_batch_max] by more than the rounding of either
-       sum. With positive finite terms each sum is within a relative
-       [(qlen + models) * u] of the exact total ([u = epsilon_float /
-       2], one rounding per addition or product) and the two divisions
-       add [2u] on each side; the slack is twice that bound, so both
-       floors reach the cap. [x < 2^52] keeps the fold's quotient well
-       inside the int range. Otherwise the fold runs. *)
+       The backlog total is the arrival-order left fold over the queue,
+       and only [min sp_batch_max (floor share)] is used. With positive
+       finite predictions the rounded partial sums never decrease, and
+       neither does their share, so the fold stops once its floor
+       reaches the cap. The full total it leaves uncomputed is a fold of
+       [qlen] terms each at most [pmax], so within a factor 2 of [qlen *
+       pmax]: [share (qlen * pmax) < 2^61] keeps its share below the
+       2^62 where [int_of_float] stops being exact. Otherwise the whole
+       fold runs. *)
     let fair_count idx per_request =
       let share work = work /. float_of_int p.sp_accels /. per_request in
-      let positive = ref true and by_model = ref 0.0 in
+      let positive = ref true and pmax = ref 0.0 in
       for m = 0 to models - 1 do
         if count.(m) > 0 then begin
           let pm = pred idx m in
-          if not (pm > 0.0 && pm < infinity) then positive := false;
-          by_model := !by_model +. (float_of_int count.(m) *. pm)
+          if pm > 0.0 && pm < infinity then pmax := Float.max !pmax pm
+          else positive := false
         end
       done;
-      let x = share !by_model in
-      let slack = float_of_int (!qlen + models + 4) *. epsilon_float in
-      if !positive && x < 0x1p52 && x *. (1.0 -. slack) >= float_of_int p.sp_batch_max
-      then p.sp_batch_max
-      else
-        int_of_float
-          (floor (share (Ints.fold (fun r acc -> acc +. pred idx mid.(r)) !queued 0.0)))
+      let can_stop = !positive && share (float_of_int !qlen *. !pmax) < 0x1p61 in
+      let cap = float_of_int p.sp_batch_max in
+      let rec fold acc ranks =
+        match ranks () with
+        | Seq.Cons (r, rest) when not (can_stop && share acc >= cap) ->
+          fold (acc +. pred idx mid.(r)) rest
+        | _ -> acc
+      in
+      int_of_float (floor (share (fold 0.0 (Ints.to_seq !queued))))
     in
     (* Policy selection; returns the picked ranks in arrival order. *)
     let pick idx =

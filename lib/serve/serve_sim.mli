@@ -109,10 +109,12 @@ val run :
     Cost: O((requests + dispatches) · models · log requests) host time.
     The queue is indexed by arrival rank (an ordered set overall, and
     per model a rank set, an id set and a count), so no pick rescans
-    the queue. The one exception is [Batch]'s fair-share total, which
-    falls back to the arrival-order fold over the queue when the
-    per-model sum is too close to the batch limit for rounding to be
-    ruled out (a short queue, in practice).
+    the queue. The one exception is [Batch]'s fair-share total, an
+    arrival-order fold over the queue that stops once the share reaches
+    the batch limit; it runs to the end only when the backlog is short
+    of that limit or a queued model's prediction is not positive and
+    finite.
 
-    [Error "duplicate request id N"] when two requests share an id:
-    outcomes are keyed by id. *)
+    [Error "duplicate request id N"] when two requests share an id
+    (outcomes are keyed by id), [Error "non-finite arrival for request
+    N"] when an arrival is NaN or infinite. *)

@@ -386,7 +386,24 @@ let test_serve_structured_errors () =
            { Serve_request.rq_id = 1; rq_arrival = 1.0; rq_model = "m" };
            { Serve_request.rq_id = 0; rq_arrival = 2.0; rq_model = "m" };
          ]))
-    "duplicate request id 0"
+    "duplicate request id 0";
+  (* a NaN arrival would stall the clock (no arrival is ever <= NaN),
+     so the loop would never end; infinity is refused with it *)
+  List.iter
+    (fun arrival ->
+      expect_error "non-finite arrival"
+        (Serve_sim.run
+           ~service:(fun _ ~batch:_ -> 1.0)
+           ~predict:(fun _ -> 1.0)
+           {
+             Serve_sim.sp_accels = 1;
+             sp_policy = Serve_policy.Fifo;
+             sp_queue_cap = None;
+             sp_batch_max = 1;
+           }
+           (requests @ [ { Serve_request.rq_id = 7; rq_arrival = arrival; rq_model = "m" } ]))
+        "non-finite arrival for request 7")
+    [ Float.nan; Float.infinity ]
 
 let test_slo_telemetry_structured_errors () =
   (* every malformed --slo spec must come back as a grammar-citing

@@ -680,6 +680,9 @@ let differential_case seed =
             (* tenths: their sums round differently in different
                orders, which the fair-share floor can see *)
             float_of_int (Fuzz_rng.int_range rng 1 5) *. 0.1
+          (* extremes: a share that overflows the int range *)
+          | 11 -> 1e-300
+          | 12 -> 1e300
           | _ -> b *. (0.5 +. (float_of_int (Fuzz_rng.int_range rng 0 100) /. 97.0))
         in
         (m, v))
@@ -799,8 +802,8 @@ let test_oracle_call_counts () =
 let real_oracle () =
   Serve_cost.create (ok (Serve_cost.models_of_specs [ "matmul:16,16,16" ]))
 
-(* A warm memo hit is a hash lookup: the engine fingerprint is hashed
-   once per oracle, not per call. *)
+(* A warm memo hit formats its key and looks it up: nothing serialises
+   or hashes the engine configuration per call. *)
 let test_oracle_warm_hit () =
   let oracle = real_oracle () in
   let m = "matmul:16,16,16" in
